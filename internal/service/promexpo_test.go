@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -347,47 +351,7 @@ func TestPromJSONParity(t *testing.T) {
 		}
 	}
 
-	snap := Snapshot{
-		UptimeSeconds:      1,
-		Requests:           map[string]int64{"extract": 1},
-		Errors:             map[string]int64{"extract": 1},
-		ExtractionFailures: map[string]int64{"missing-mandatory": 1},
-		Lifecycle:          map[string]int64{"rollback": 1},
-		PagesExtracted:     1, PageCacheHits: 1, PageCacheMisses: 1,
-		RouterHits: 1, RouterMisses: 1, RouterUnrouted: 1,
-		StreamHits: 1, StreamFallbacks: 1,
-		StreamFallbackReasons: map[string]int64{"parsed-doc": 1},
-		InductionJobs:         map[string]int64{"queued": 1},
-		UnroutedBuffered:      1, UnroutedBufferedBytes: 1, UnroutedEvicted: 1,
-		UnroutedDropped:   1,
-		LatencySumSeconds: 0.1, LatencyCount: 1,
-		LatencyHistogram: []HistogramBucket{{LE: 0.1, Count: 1}, {Count: 0}},
-		Pool:             PoolSnapshot{Workers: 1, QueueDepth: 1, QueueCapacity: 1, InFlight: 1, SaturationRatio: 1},
-		Repos:            []RepoVersionCount{{Repo: "r", Version: 1, Active: true, Pages: 1}},
-		Pipeline: pipeline.TelemetrySnapshot{{
-			Stage: "source",
-			Latency: obs.HistogramSnapshot{
-				Count: 1, Sum: 0.1,
-				Buckets: []obs.HistogramBucket{{LE: 0.1, Count: 1}},
-			},
-		}},
-		FetchRetries: 1,
-		Fetch:        []FetchOutcomeCount{{Host: "h", Outcome: "ok", Count: 1}},
-		Breakers:     []BreakerStatus{{Host: "h", State: 2}},
-		Shed:         1,
-		PanicsRecovered: map[string]int64{
-			"handler": 1,
-		},
-		Recrawls:          map[string]int64{"clean": 1},
-		Schedules:         []ScheduleMetric{{Repo: "r", IntervalSeconds: 60}},
-		ChangefeedRecords: map[string]int64{"new": 1},
-		Build:             BuildInfo{GoVersion: "go"},
-		Store: &store.Metrics{
-			WALBytes: 1, WALRecords: 1, Fsyncs: 1, TornTails: 1,
-			ReplayRecords: 1, ReplayDurationSeconds: 0.1,
-			SnapshotAgeSeconds: 1, Snapshots: 1,
-		},
-	}
+	snap := goldenSnapshot()
 	var buf bytes.Buffer
 	if err := WriteProm(&buf, snap); err != nil {
 		t.Fatal(err)
@@ -407,6 +371,119 @@ func TestPromJSONParity(t *testing.T) {
 	// And the JSON view must marshal the same snapshot without loss.
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot does not marshal to JSON: %v", err)
+	}
+}
+
+// goldenSnapshot populates every Snapshot field, with several series
+// per labeled family, so each family renders with its full label set —
+// the /metrics catalogue exactly as a busy daemon would expose it.
+func goldenSnapshot() Snapshot {
+	stage := obs.HistogramSnapshot{
+		Count: 3, Sum: 0.5,
+		Buckets: []obs.HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
+	}
+	var stages pipeline.TelemetrySnapshot
+	for _, name := range []string{"source", "classify", "extract", "sink"} {
+		stages = append(stages, pipeline.StageSnapshot{
+			Stage: name, InFlight: 1, Errors: 1, Latency: stage,
+		})
+	}
+	latency := make([]HistogramBucket, 0, len(obs.DefaultLatencyBuckets)+1)
+	for i, le := range append(slices.Clone(obs.DefaultLatencyBuckets), 0) { // 0 marks +Inf
+		latency = append(latency, HistogramBucket{LE: le, Count: int64(i % 3)})
+	}
+	return Snapshot{
+		UptimeSeconds:      12.5,
+		Requests:           map[string]int64{"extract": 3, "ingest": 1, "metrics": 2},
+		Errors:             map[string]int64{"extract": 1},
+		ExtractionFailures: map[string]int64{"missing-mandatory": 1, "multiple-values": 1},
+		Lifecycle:          map[string]int64{"repair.attempted": 1, "rollback": 1},
+		PagesExtracted:     13,
+		PageCacheHits:      4,
+		PageCacheMisses:    6,
+		RouterHits:         5,
+		RouterMisses:       2,
+		RouterUnrouted:     3,
+		StreamHits:         7,
+		StreamFallbacks:    3,
+		StreamFallbackReasons: map[string]int64{
+			"general-xpath": 1, "parsed-doc": 1, "depth": 1,
+		},
+		InductionJobs: map[string]int64{
+			"queued": 1, "running": 1, "staged": 1, "failed": 0,
+		},
+		UnroutedBuffered:      3,
+		UnroutedBufferedBytes: 4096,
+		UnroutedEvicted:       1,
+		UnroutedDropped:       1,
+		LatencySumSeconds:     0.375,
+		LatencyCount:          13,
+		LatencyHistogram:      latency,
+		Pool: PoolSnapshot{
+			Workers: 4, QueueDepth: 1, QueueCapacity: 16,
+			InFlight: 2, SaturationRatio: 0.5,
+		},
+		Repos: []RepoVersionCount{
+			{Repo: "movies", Version: 1, Pages: 5, FailedPages: 1, Failures: 2},
+			{Repo: "movies", Version: 2, Active: true, Pages: 5},
+			{Repo: "stocks", Version: 1, Active: true, Pages: 3},
+		},
+		Pipeline:     stages,
+		FetchRetries: 4,
+		Fetch: []FetchOutcomeCount{
+			{Host: "dead.example", Outcome: "breaker_open", Count: 5},
+			{Host: "example.com", Outcome: "ok", Count: 9},
+			{Host: "example.com", Outcome: "transient", Count: 2},
+		},
+		Breakers: []BreakerStatus{
+			{Host: "dead.example", State: 2}, {Host: "example.com", State: 0},
+		},
+		Shed:            2,
+		PanicsRecovered: map[string]int64{"handler": 1, "extract": 1},
+		Recrawls:        map[string]int64{"clean": 5, "repaired": 1, "failed": 1},
+		Schedules: []ScheduleMetric{
+			{Repo: "movies", IntervalSeconds: 120},
+			{Repo: "stocks", IntervalSeconds: 60},
+		},
+		ChangefeedRecords: map[string]int64{"new": 12, "changed": 3, "vanished": 1},
+		Build:             BuildInfo{GoVersion: "go1.24", Revision: "abc123"},
+		Store: &store.Metrics{
+			WALBytes: 2048, WALRecords: 12, Fsyncs: 3, TornTails: 1,
+			ReplayRecords: 12, ReplayDurationSeconds: 0.02,
+			SnapshotAgeSeconds: 30, Snapshots: 2,
+		},
+	}
+}
+
+// TestMetricsGolden is the byte-exact referee for both /metrics views:
+// the fully populated snapshot must render exactly the committed
+// Prometheus exposition and JSON body (run with UPDATE_GOLDEN=1 to
+// regenerate after an intended change to the catalogue).
+func TestMetricsGolden(t *testing.T) {
+	snap := goldenSnapshot()
+	var prom bytes.Buffer
+	if err := WriteProm(&prom, snap); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, snap)
+	for _, g := range []struct{ file, got string }{
+		{"metrics.golden.prom", prom.String()},
+		{"metrics.golden.json", rec.Body.String()},
+	} {
+		path := filepath.Join("testdata", g.file)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
+		}
+		if g.got != string(want) {
+			t.Errorf("%s differs from golden:\n--- got ---\n%s\n--- want ---\n%s", g.file, g.got, want)
+		}
 	}
 }
 
