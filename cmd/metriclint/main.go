@@ -2,32 +2,28 @@
 // repo's metric naming conventions: the extractd_ prefix, lowercase
 // snake_case names, HELP on every family, _total on counters, unit
 // suffixes on gauges and histograms, and a closed label-key allowlist
-// (the cardinality budget). CI runs it with no arguments, which lints
-// the daemon's own built-in catalogue — a new metric with a bad name or
-// an unbounded label fails the build before it reaches a dashboard.
+// (the cardinality budget). With no arguments it lints the declarations
+// in extractd's metric families table — a new metric with a bad name or
+// an unbounded label fails CI before it reaches a dashboard.
 //
 // Usage:
 //
-//	metriclint            # lint extractd's built-in metric catalogue
+//	metriclint            # lint extractd's metric families table
 //	metriclint -f dump.txt  # lint a scraped exposition file
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/service"
-	"repro/internal/store"
 )
 
 func main() {
 	file := flag.String("f", "",
-		"lint a scraped exposition file instead of the built-in catalogue")
+		"lint a scraped exposition file instead of the metric families table")
 	flag.Parse()
 	problems, fams, err := lint(*file)
 	if err != nil {
@@ -43,104 +39,39 @@ func main() {
 	fmt.Printf("metriclint: %d families clean\n", len(fams))
 }
 
-// lint renders or reads an exposition and runs the naming linter.
+// lint runs the naming linter over a scraped exposition file or, with
+// no file, over the daemon's families table.
 func lint(file string) ([]string, []*obs.PromFamily, error) {
-	var r io.Reader
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		r = f
-	} else {
-		var buf bytes.Buffer
-		if err := service.WriteProm(&buf, exercisedSnapshot()); err != nil {
-			return nil, nil, err
-		}
-		r = &buf
+	if file == "" {
+		fams := catalogue()
+		return obs.Lint(fams, obs.LintOptions{}), fams, nil
 	}
-	fams, err := obs.ParseProm(r)
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	fams, err := obs.ParseProm(f)
 	if err != nil {
 		return nil, nil, err
 	}
 	return obs.Lint(fams, obs.LintOptions{}), fams, nil
 }
 
-// exercisedSnapshot populates every Snapshot field with synthetic data
-// so each metric family renders with its full label set — the linter
-// sees the catalogue exactly as a busy daemon would expose it.
-func exercisedSnapshot() service.Snapshot {
-	hist := obs.HistogramSnapshot{
-		Count: 3, Sum: 0.5,
-		Buckets: []obs.HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
-	}
-	stages := pipeline.TelemetrySnapshot{}
-	for _, name := range []string{"source", "classify", "extract", "sink"} {
-		stages = append(stages, pipeline.StageSnapshot{
-			Stage: name, InFlight: 1, Errors: 1, Latency: hist,
+// catalogue builds one family per table row from its declared name,
+// type, HELP and label keys, with a single sample carrying every
+// declared key — the linter checks declarations, not rendered values.
+func catalogue() []*obs.PromFamily {
+	var fams []*obs.PromFamily
+	for _, row := range service.MetricFamilies() {
+		labels := make([]obs.Label, len(row.Labels))
+		for i, k := range row.Labels {
+			labels[i] = obs.Label{Key: k}
+		}
+		fams = append(fams, &obs.PromFamily{
+			Name: row.Name, Type: row.Type, Help: row.Help,
+			Samples: []obs.PromSample{{Name: row.Name, Labels: labels}},
 		})
 	}
-	return service.Snapshot{
-		UptimeSeconds:      12.5,
-		Requests:           map[string]int64{"extract": 3, "ingest": 1},
-		Errors:             map[string]int64{"extract": 1},
-		ExtractionFailures: map[string]int64{"missing-mandatory": 1, "multiple-values": 1},
-		Lifecycle:          map[string]int64{"repair.attempted": 1, "rollback": 1},
-		PagesExtracted:     10,
-		PageCacheHits:      4,
-		PageCacheMisses:    6,
-		RouterHits:         5,
-		RouterMisses:       2,
-		RouterUnrouted:     3,
-		StreamHits:         7,
-		StreamFallbacks:    3,
-		StreamFallbackReasons: map[string]int64{
-			"general-xpath": 1, "parsed-doc": 1, "depth": 1,
-		},
-		InductionJobs: map[string]int64{
-			"queued": 1, "running": 1, "staged": 1, "failed": 1,
-		},
-		UnroutedBuffered:      3,
-		UnroutedBufferedBytes: 4096,
-		UnroutedEvicted:       1,
-		UnroutedDropped:       1,
-		LatencySumSeconds:     0.5,
-		LatencyCount:          3,
-		LatencyHistogram: []service.HistogramBucket{
-			{LE: 0.1, Count: 2}, {Count: 1},
-		},
-		Pool: service.PoolSnapshot{
-			Workers: 4, QueueDepth: 1, QueueCapacity: 16,
-			InFlight: 2, SaturationRatio: 0.5,
-		},
-		Repos: []service.RepoVersionCount{
-			{Repo: "movies", Version: 1, Pages: 5, FailedPages: 1, Failures: 2},
-			{Repo: "movies", Version: 2, Active: true, Pages: 5},
-		},
-		Pipeline:     stages,
-		FetchRetries: 4,
-		Fetch: []service.FetchOutcomeCount{
-			{Host: "example.com", Outcome: "ok", Count: 9},
-			{Host: "example.com", Outcome: "transient", Count: 2},
-			{Host: "dead.example", Outcome: "breaker_open", Count: 5},
-		},
-		Breakers: []service.BreakerStatus{
-			{Host: "example.com", State: 0}, {Host: "dead.example", State: 2},
-		},
-		Shed:            2,
-		PanicsRecovered: map[string]int64{"handler": 1, "extract": 1},
-		Recrawls:        map[string]int64{"clean": 5, "repaired": 1, "failed": 1},
-		Schedules: []service.ScheduleMetric{
-			{Repo: "movies", IntervalSeconds: 120},
-			{Repo: "stocks", IntervalSeconds: 60},
-		},
-		ChangefeedRecords: map[string]int64{"new": 12, "changed": 3, "vanished": 1},
-		Build:             service.BuildInfo{GoVersion: "go1.24", Revision: "abc123"},
-		Store: &store.Metrics{
-			WALBytes: 2048, WALRecords: 12, Fsyncs: 3, TornTails: 1,
-			ReplayRecords: 12, ReplayDurationSeconds: 0.02,
-			SnapshotAgeSeconds: 30, Snapshots: 2,
-		},
-	}
+	return fams
 }

@@ -246,13 +246,18 @@ func urlKey(uri string) string {
 // diagnostics; everything else is identical to Route(fp()).
 func (r *Router) RouteLazy(uri string, fp func() Features) (Route, bool) {
 	key := urlKey(uri)
+	// The decision is copied under the lock: learnFast rewrites score
+	// and ambiguous in place.
 	r.mu.RLock()
 	e := r.fast[key]
+	cached := e != nil && !e.ambiguous
+	var fast Route
+	if cached {
+		fast = Route{Name: e.name, Score: e.score}
+	}
 	r.mu.RUnlock()
-	if e != nil && !e.ambiguous {
-		if e.hits.Add(1)%urlVerifyEvery != 0 {
-			return Route{Name: e.name, Score: e.score}, true
-		}
+	if cached && e.hits.Add(1)%urlVerifyEvery != 0 {
+		return fast, true
 	}
 	route, ok := r.Route(fp())
 	r.learnFast(key, route, ok)

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -289,6 +290,35 @@ func TestRouteLazyURLFastPath(t *testing.T) {
 	if fpCalls != before+5 {
 		t.Errorf("unrouted pattern was cached: %d fingerprints for 5 attempts", fpCalls-before)
 	}
+}
+
+// TestRouteLazyConcurrent routes one learned pattern from several
+// goroutines: fast-path hits read the cached decision while sampled
+// verifications rewrite it, so under -race this pins that the cached
+// fields are only read under the router's lock.
+func TestRouteLazyConcurrent(t *testing.T) {
+	movies := clusterPageInfos(corpus.GenerateMovies(corpus.DefaultMovieProfile(11, 20)))
+	r := cluster.NewRouter(0)
+	r.Register("movies", cluster.SignatureOf(movies[:10]))
+	features := make([]cluster.Features, 10)
+	for i := range features {
+		features[i] = cluster.Fingerprint(movies[10+i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				f := features[i%len(features)]
+				if got, ok := r.RouteLazy(movies[10].URI, func() cluster.Features { return f }); !ok || got.Name != "movies" {
+					t.Errorf("routed to %q ok=%v", got.Name, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestRouteLazyAmbiguousPattern drives two clusters whose pages share one

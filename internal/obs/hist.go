@@ -15,8 +15,7 @@ import (
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits of the running sum
+	sumBits atomic.Uint64  // float64 bits of the running sum
 }
 
 // DefaultLatencyBuckets is the shared latency bucket layout, in seconds:
@@ -47,7 +46,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -74,12 +72,12 @@ type HistogramSnapshot struct {
 	Buckets []HistogramBucket `json:"buckets"`
 }
 
-// Snapshot copies the histogram counters. Concurrent Observes may land
-// between bucket reads; each individual counter is still exact and the
-// skew is at most the handful of observations in flight.
+// Snapshot copies the histogram counters. Count is the sum of the
+// bucket counts as loaded, so a snapshot taken mid-traffic still has
+// _count equal to the +Inf bucket; concurrent Observes may land between
+// bucket reads, and Sum may lead or lag by those in-flight values.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:   h.count.Load(),
 		Sum:     math.Float64frombits(h.sumBits.Load()),
 		Buckets: make([]HistogramBucket, len(h.counts)),
 	}
@@ -89,6 +87,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			le = h.bounds[i]
 		}
 		s.Buckets[i] = HistogramBucket{LE: le, Count: h.counts[i].Load()}
+		s.Count += s.Buckets[i].Count
 	}
 	return s
 }

@@ -100,14 +100,51 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotConsistent: a snapshot taken mid-traffic must
+// still satisfy the Prometheus histogram invariant — _count equals the
+// +Inf cumulative bucket, i.e. the sum of the per-bucket counts.
+func TestHistogramSnapshotConsistent(t *testing.T) {
+	h := NewHistogram(nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := 0.0; ; v += 0.0003 {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(math.Mod(v, 6))
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		s := h.Snapshot()
+		var sum int64
+		for _, b := range s.Buckets {
+			sum += b.Count
+		}
+		if sum != s.Count {
+			t.Fatalf("snapshot %d: buckets sum to %d, Count = %d", i, sum, s.Count)
+		}
+	}
+}
+
 func TestPromWriterOutput(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("extractd_pages_total", "Pages.", 42)
-	p.Gauge("extractd_pool_workers", "Workers.", 4)
+	p.Family("extractd_pages_total", "counter", "Pages.")
+	p.Sample("extractd_pages_total", nil, 42)
+	p.Family("extractd_pool_workers", "gauge", "Workers.")
+	p.Sample("extractd_pool_workers", nil, 4)
 	p.Family("extractd_requests_total", "counter", "Requests with \"quotes\"\nand newline.")
 	p.Sample("extractd_requests_total", []Label{{Key: "endpoint", Value: `a"b\c` + "\n"}}, 7)
-	p.Histogram("extractd_lat_seconds", "Latency.", HistogramSnapshot{
+	p.Family("extractd_lat_seconds", "histogram", "Latency.")
+	p.HistogramSamples("extractd_lat_seconds", nil, HistogramSnapshot{
 		Count: 3, Sum: 0.25,
 		Buckets: []HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
 	})
@@ -134,11 +171,13 @@ func TestPromWriterOutput(t *testing.T) {
 func TestParsePromRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
-	p.Counter("extractd_pages_total", "Pages.", 42)
-	p.Histogram("extractd_lat_seconds", "Latency.", HistogramSnapshot{
+	p.Family("extractd_pages_total", "counter", "Pages.")
+	p.Sample("extractd_pages_total", nil, 42)
+	p.Family("extractd_lat_seconds", "histogram", "Latency.")
+	p.HistogramSamples("extractd_lat_seconds", []Label{{Key: "stage", Value: "extract"}}, HistogramSnapshot{
 		Count: 3, Sum: 0.25,
 		Buckets: []HistogramBucket{{LE: 0.1, Count: 2}, {LE: 0, Count: 1}},
-	}, Label{Key: "stage", Value: "extract"})
+	})
 	fams, err := ParseProm(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -200,7 +200,7 @@ type LintOptions struct {
 // never URIs, trace IDs or page content).
 var DefaultAllowedLabels = []string{
 	"endpoint", "kind", "event", "outcome", "stage", "state",
-	"repo", "version", "active", "le", "goversion", "revision",
+	"repo", "version", "le", "goversion", "revision",
 	// reason: streaming-extraction fallback reasons. Bounded by the
 	// fixed set of compile refusals plus the three runtime reasons.
 	"reason",

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/extract"
 	"repro/internal/rule"
 )
 
@@ -112,5 +115,69 @@ func TestMetricsFailureKindCounters(t *testing.T) {
 	}
 	if h.FailuresByComponent["title"] != 2 || h.FailuresByComponent["tag"] != 2 {
 		t.Errorf("monitor components = %+v", h.FailuresByComponent)
+	}
+}
+
+// TestMetricsSnapshotUnderLoad records requests, errors and extractions
+// from several goroutines while snapshotting: every snapshot must show
+// no endpoint with more errors than requests, and as many pages as
+// latency observations in the histogram's buckets.
+func TestMetricsSnapshotUnderLoad(t *testing.T) {
+	m := NewMetrics()
+	failures := []extract.Failure{{Kind: extract.FailureMissingMandatory}}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m.Request("extract", i%2 == 0)
+				m.Extraction(time.Duration(i%5000)*time.Microsecond, failures[:i%2])
+				m.Lifecycle("rollback")
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 500; i++ {
+		s := m.Snapshot()
+		if s.Errors["extract"] > s.Requests["extract"] {
+			t.Fatalf("snapshot %d: %d errors > %d requests", i, s.Errors["extract"], s.Requests["extract"])
+		}
+		var buckets int64
+		for _, b := range s.LatencyHistogram {
+			buckets += b.Count
+		}
+		if s.PagesExtracted != buckets || s.LatencyCount != buckets {
+			t.Fatalf("snapshot %d: pages %d, latencyCount %d, buckets %d",
+				i, s.PagesExtracted, s.LatencyCount, buckets)
+		}
+	}
+}
+
+// TestEmptyMetricsJSON pins the JSON shape of a fresh daemon: requests
+// renders as an empty object, the empty labeled families are omitted.
+func TestEmptyMetricsJSON(t *testing.T) {
+	raw, err := json.Marshal(NewMetrics().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(top["requests"]); got != "{}" {
+		t.Errorf("fresh snapshot renders requests as %q, want {}", got)
+	}
+	for _, key := range []string{"errors", "extractionFailures", "lifecycle",
+		"streamFallbackReasons", "panicsRecovered", "recrawls", "fetch"} {
+		if v, ok := top[key]; ok {
+			t.Errorf("fresh snapshot renders empty %s: %s", key, v)
+		}
 	}
 }

@@ -103,71 +103,16 @@ func TestPromExpositionGolden(t *testing.T) {
 		t.Fatalf("exposition fails lint:\n%s", strings.Join(problems, "\n"))
 	}
 
-	// Every family, with its type.
-	wantTypes := map[string]string{
-		"extractd_build_info":                      "gauge",
-		"extractd_uptime_seconds":                  "gauge",
-		"extractd_requests_total":                  "counter",
-		"extractd_request_errors_total":            "counter",
-		"extractd_pages_extracted_total":           "counter",
-		"extractd_extraction_failures_total":       "counter",
-		"extractd_lifecycle_events_total":          "counter",
-		"extractd_page_cache_hits_total":           "counter",
-		"extractd_page_cache_misses_total":         "counter",
-		"extractd_router_decisions_total":          "counter",
-		"extractd_stream_extract_total":            "counter",
-		"extractd_stream_fallback_total":           "counter",
-		"extractd_extraction_duration_seconds":     "histogram",
-		"extractd_pool_workers":                    "gauge",
-		"extractd_pool_queue_depth":                "gauge",
-		"extractd_pool_queue_capacity":             "gauge",
-		"extractd_pool_in_flight":                  "gauge",
-		"extractd_pool_saturation_ratio":           "gauge",
-		"extractd_repo_pages_total":                "counter",
-		"extractd_repo_failed_pages_total":         "counter",
-		"extractd_repo_failures_total":             "counter",
-		"extractd_repo_active_version":             "gauge",
-		"extractd_pipeline_stage_duration_seconds": "histogram",
-		"extractd_pipeline_stage_in_flight":        "gauge",
-		"extractd_pipeline_stage_errors_total":     "counter",
-		"extractd_induction_jobs":                  "gauge",
-		"extractd_unrouted_buffered_pages":         "gauge",
-		"extractd_unrouted_buffered_bytes":         "gauge",
-		"extractd_unrouted_evicted_total":          "counter",
-		"extractd_unrouted_dropped_total":          "counter",
-		"extractd_store_wal_bytes":                 "gauge",
-		"extractd_store_wal_records_total":         "counter",
-		"extractd_store_fsyncs_total":              "counter",
-		"extractd_store_torn_tails_total":          "counter",
-		"extractd_store_replay_records_total":      "counter",
-		"extractd_store_replay_duration_seconds":   "gauge",
-		"extractd_store_snapshot_age_seconds":      "gauge",
-		"extractd_store_snapshots_total":           "counter",
-		"extractd_fetch_retries_total":             "counter",
-		"extractd_fetch_total":                     "counter",
-		"extractd_fetch_breaker_state":             "gauge",
-		"extractd_shed_total":                      "counter",
-		"extractd_panics_recovered_total":          "counter",
-		"extractd_recrawl_total":                   "counter",
-		"extractd_recrawl_interval_seconds":        "gauge",
-		"extractd_changefeed_records_total":        "counter",
+	// Every table row renders, in order, with its declared type.
+	if len(fams) != len(families) {
+		t.Errorf("exposition has %d families, the table declares %d:\n%s",
+			len(fams), len(families), raw)
 	}
-	for name, typ := range wantTypes {
-		f := familyByName(fams, name)
-		if f == nil {
-			t.Errorf("exposition missing family %s", name)
-			continue
+	for i := 0; i < len(fams) && i < len(families); i++ {
+		if fams[i].Name != families[i].Name || fams[i].Type != families[i].Type {
+			t.Errorf("family %d = %s %s, table row says %s %s", i,
+				fams[i].Name, fams[i].Type, families[i].Name, families[i].Type)
 		}
-		if f.Type != typ {
-			t.Errorf("%s type = %q, want %q", name, f.Type, typ)
-		}
-		if f.Help == "" {
-			t.Errorf("%s has no HELP", name)
-		}
-	}
-	if len(fams) != len(wantTypes) {
-		t.Errorf("exposition has %d families, expected table lists %d:\n%s",
-			len(fams), len(wantTypes), raw)
 	}
 
 	// Spot-check values against the JSON view of the same counters.
@@ -273,104 +218,63 @@ func TestPromAcceptVariants(t *testing.T) {
 	}
 }
 
-// snapshotFieldMetrics is the parity contract between the JSON and the
-// Prometheus views of /metrics: every Snapshot field maps to the metric
-// families that render it. Adding a Snapshot field without extending
-// WriteProm (and this table) fails TestPromJSONParity — the two views
-// cannot drift apart silently.
-var snapshotFieldMetrics = map[string][]string{
-	"UptimeSeconds":         {"extractd_uptime_seconds"},
-	"Requests":              {"extractd_requests_total"},
-	"Errors":                {"extractd_request_errors_total"},
-	"ExtractionFailures":    {"extractd_extraction_failures_total"},
-	"Lifecycle":             {"extractd_lifecycle_events_total"},
-	"PagesExtracted":        {"extractd_pages_extracted_total"},
-	"PageCacheHits":         {"extractd_page_cache_hits_total"},
-	"PageCacheMisses":       {"extractd_page_cache_misses_total"},
-	"RouterHits":            {"extractd_router_decisions_total"},
-	"RouterMisses":          {"extractd_router_decisions_total"},
-	"RouterUnrouted":        {"extractd_router_decisions_total"},
-	"StreamHits":            {"extractd_stream_extract_total"},
-	"StreamFallbacks":       {"extractd_stream_extract_total"},
-	"StreamFallbackReasons": {"extractd_stream_fallback_total"},
-	"InductionJobs":         {"extractd_induction_jobs"},
-	"UnroutedBuffered":      {"extractd_unrouted_buffered_pages"},
-	"UnroutedBufferedBytes": {"extractd_unrouted_buffered_bytes"},
-	"UnroutedEvicted":       {"extractd_unrouted_evicted_total"},
-	"UnroutedDropped":       {"extractd_unrouted_dropped_total"},
-	"Store": {
-		"extractd_store_wal_bytes", "extractd_store_wal_records_total",
-		"extractd_store_fsyncs_total", "extractd_store_torn_tails_total",
-		"extractd_store_replay_records_total",
-		"extractd_store_replay_duration_seconds",
-		"extractd_store_snapshot_age_seconds", "extractd_store_snapshots_total",
-	},
-	"LatencySumSeconds": {"extractd_extraction_duration_seconds"},
-	"LatencyCount":      {"extractd_extraction_duration_seconds"},
-	"LatencyHistogram":  {"extractd_extraction_duration_seconds"},
-	"Pool": {
-		"extractd_pool_workers", "extractd_pool_queue_depth",
-		"extractd_pool_queue_capacity", "extractd_pool_in_flight",
-		"extractd_pool_saturation_ratio",
-	},
-	"Repos": {
-		"extractd_repo_pages_total", "extractd_repo_failed_pages_total",
-		"extractd_repo_failures_total", "extractd_repo_active_version",
-	},
-	"Pipeline": {
-		"extractd_pipeline_stage_duration_seconds",
-		"extractd_pipeline_stage_in_flight",
-		"extractd_pipeline_stage_errors_total",
-	},
-	"FetchRetries":      {"extractd_fetch_retries_total"},
-	"Fetch":             {"extractd_fetch_total"},
-	"Breakers":          {"extractd_fetch_breaker_state"},
-	"Shed":              {"extractd_shed_total"},
-	"PanicsRecovered":   {"extractd_panics_recovered_total"},
-	"Recrawls":          {"extractd_recrawl_total"},
-	"Schedules":         {"extractd_recrawl_interval_seconds"},
-	"ChangefeedRecords": {"extractd_changefeed_records_total"},
-	"Build":             {"extractd_build_info"},
-}
-
-// TestPromJSONParity walks the Snapshot struct with reflection and
-// checks each field against the mapping table, then renders a fully
-// populated snapshot and checks every mapped family actually appears.
+// TestPromJSONParity holds the families table to the Snapshot it
+// renders: every Snapshot field is claimed by at least one row (a field
+// added to the JSON view alone fails here), every claimed field exists,
+// and the fully populated snapshot renders exactly the table's families
+// — in order, with each row's type, HELP and label keys.
 func TestPromJSONParity(t *testing.T) {
 	st := reflect.TypeOf(Snapshot{})
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		if _, ok := snapshotFieldMetrics[name]; !ok {
-			t.Errorf("Snapshot field %s has no Prometheus mapping — "+
-				"teach WriteProm about it and extend snapshotFieldMetrics", name)
+	claimed := map[string]bool{}
+	for _, f := range families {
+		if len(f.fields) == 0 {
+			t.Errorf("%s claims no Snapshot field", f.Name)
+		}
+		for _, name := range f.fields {
+			if _, ok := st.FieldByName(name); !ok {
+				t.Errorf("%s claims %s, which is not a Snapshot field", f.Name, name)
+			}
+			claimed[name] = true
 		}
 	}
-	for name := range snapshotFieldMetrics {
-		if _, ok := st.FieldByName(name); !ok {
-			t.Errorf("mapping table names %s, which is not a Snapshot field", name)
+	for i := 0; i < st.NumField(); i++ {
+		if name := st.Field(i).Name; !claimed[name] {
+			t.Errorf("Snapshot field %s is claimed by no families row — "+
+				"add the row that renders it", name)
 		}
 	}
 
-	snap := goldenSnapshot()
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, snap); err != nil {
+	if err := WriteProm(&buf, goldenSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := obs.ParseProm(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, metrics := range snapshotFieldMetrics {
-		for _, m := range metrics {
-			if familyByName(fams, m) == nil {
-				t.Errorf("field %s maps to %s, which the exposition does not render", field, m)
+	if len(fams) != len(families) {
+		t.Fatalf("rendered %d families, the table declares %d", len(fams), len(families))
+	}
+	for i, row := range families {
+		got := fams[i]
+		if got.Name != row.Name || got.Type != row.Type || got.Help != row.Help {
+			t.Errorf("family %d renders as %s %s %q, row declares %s %s %q", i,
+				got.Name, got.Type, got.Help, row.Name, row.Type, row.Help)
+		}
+		if len(got.Samples) == 0 {
+			t.Errorf("%s renders no series from the golden snapshot", row.Name)
+		}
+		for _, s := range got.Samples {
+			var keys []string
+			for _, l := range s.Labels {
+				if !(l.Key == "le" && strings.HasSuffix(s.Name, "_bucket")) {
+					keys = append(keys, l.Key)
+				}
+			}
+			if !slices.Equal(keys, row.Labels) {
+				t.Errorf("%s sample has label keys %v, row declares %v", s.Name, keys, row.Labels)
 			}
 		}
-	}
-
-	// And the JSON view must marshal the same snapshot without loss.
-	if _, err := json.Marshal(snap); err != nil {
-		t.Fatalf("snapshot does not marshal to JSON: %v", err)
 	}
 }
 
@@ -388,9 +292,9 @@ func goldenSnapshot() Snapshot {
 			Stage: name, InFlight: 1, Errors: 1, Latency: stage,
 		})
 	}
-	latency := make([]HistogramBucket, 0, len(obs.DefaultLatencyBuckets)+1)
+	latency := make([]obs.HistogramBucket, 0, len(obs.DefaultLatencyBuckets)+1)
 	for i, le := range append(slices.Clone(obs.DefaultLatencyBuckets), 0) { // 0 marks +Inf
-		latency = append(latency, HistogramBucket{LE: le, Count: int64(i % 3)})
+		latency = append(latency, obs.HistogramBucket{LE: le, Count: int64(i % 3)})
 	}
 	return Snapshot{
 		UptimeSeconds:      12.5,
