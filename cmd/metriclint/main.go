@@ -42,18 +42,18 @@ func main() {
 // lint runs the naming linter over a scraped exposition file or, with
 // no file, over the daemon's families table.
 func lint(file string) ([]string, []*obs.PromFamily, error) {
+	var fams []*obs.PromFamily
 	if file == "" {
-		fams := catalogue()
-		return obs.Lint(fams, obs.LintOptions{}), fams, nil
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	fams, err := obs.ParseProm(f)
-	if err != nil {
-		return nil, nil, err
+		fams = catalogue()
+	} else {
+		f, err := os.Open(file)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		if fams, err = obs.ParseProm(f); err != nil {
+			return nil, nil, err
+		}
 	}
 	return obs.Lint(fams, obs.LintOptions{}), fams, nil
 }

@@ -280,9 +280,6 @@ func (e emitter) labels(values []string) []obs.Label {
 	if len(values) != len(e.f.Labels) {
 		panic(fmt.Sprintf("%s: %d label values for declared keys %v", e.f.Name, len(values), e.f.Labels))
 	}
-	if len(values) == 0 {
-		return nil
-	}
 	out := make([]obs.Label, len(values))
 	for i, v := range values {
 		out[i] = obs.Label{Key: e.f.Labels[i], Value: v}
