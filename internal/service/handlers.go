@@ -34,8 +34,8 @@ import (
 	"repro/internal/webfetch"
 )
 
-// Server is the extractd HTTP service: a repository registry, a bounded
-// extraction worker pool, metrics, and the handlers tying them together.
+// Server is the extractd HTTP service: a repository registry, an
+// extraction admission gate, metrics, and the handlers tying them together.
 //
 // Endpoints:
 //
@@ -247,7 +247,7 @@ func (s *Server) RemoveRepo(name string) bool {
 // installs; override by replacing Server.PageCache (nil disables).
 const DefaultPageCacheSize = 256
 
-// Close releases the worker pool.
+// Close stops admitting extractions and waits for admitted ones.
 func (s *Server) Close() { s.Pool.Close() }
 
 func (s *Server) maxBody() int64 {
@@ -259,32 +259,66 @@ func (s *Server) maxBody() int64 {
 
 // Handler returns the routed http.Handler, wrapped in the request
 // observability envelope (trace IDs, request logs, pprof route labels).
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.instrument(s.routes()) }
+
+// routes builds the request mux. Every handler runs under a pprof
+// "route" label derived from its registered pattern (see routeLabel), so
+// CPU profiles break down by endpoint; the label set is bounded by the
+// patterns below whatever paths clients send.
+func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/repos", s.handleRepos)
-	mux.HandleFunc("GET /repos/{name}/health", s.handleRepoHealth)
-	mux.HandleFunc("GET /repos/{name}/versions", s.handleRepoVersions)
-	mux.HandleFunc("POST /repos/{name}/repair", s.handleRepoRepair)
-	mux.HandleFunc("POST /repos/{name}/rollback", s.handleRepoRollback)
-	mux.HandleFunc("/extract", s.handleExtract)
-	mux.HandleFunc("/extract/batch", s.handleExtractBatch)
-	mux.HandleFunc("/extract/url", s.handleExtractURL)
-	mux.HandleFunc("/ingest", s.handleIngest)
-	mux.HandleFunc("POST /induce", s.handleInduce)
-	mux.HandleFunc("GET /jobs", s.handleJobs)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("POST /jobs/{id}/promote", s.handleJobPromote)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleJobCancel)
-	mux.HandleFunc("POST /schedules", s.handleScheduleCreate)
-	mux.HandleFunc("GET /schedules", s.handleScheduleList)
-	mux.HandleFunc("POST /schedules/{repo}/pause", s.handleSchedulePause)
-	mux.HandleFunc("POST /schedules/{repo}/resume", s.handleScheduleResume)
-	mux.HandleFunc("DELETE /schedules/{repo}", s.handleScheduleDelete)
-	mux.HandleFunc("GET /changes", s.handleChanges)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return s.instrument(mux)
+	handle := func(pattern string, h http.HandlerFunc) {
+		labels := pprof.Labels("route", routeLabel(pattern))
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			pprof.Do(r.Context(), labels, func(context.Context) { h(w, r) })
+		})
+	}
+	handle("/repos", s.handleRepos)
+	handle("GET /repos/{name}/health", s.handleRepoHealth)
+	handle("GET /repos/{name}/versions", s.handleRepoVersions)
+	handle("POST /repos/{name}/repair", s.handleRepoRepair)
+	handle("POST /repos/{name}/rollback", s.handleRepoRollback)
+	handle("/extract", s.handleExtract)
+	handle("/extract/batch", s.handleExtractBatch)
+	handle("/extract/url", s.handleExtractURL)
+	handle("/ingest", s.handleIngest)
+	handle("POST /induce", s.handleInduce)
+	handle("GET /jobs", s.handleJobs)
+	handle("GET /jobs/{id}", s.handleJob)
+	handle("POST /jobs/{id}/promote", s.handleJobPromote)
+	handle("POST /jobs/{id}/cancel", s.handleJobCancel)
+	handle("POST /schedules", s.handleScheduleCreate)
+	handle("GET /schedules", s.handleScheduleList)
+	handle("POST /schedules/{repo}/pause", s.handleSchedulePause)
+	handle("POST /schedules/{repo}/resume", s.handleScheduleResume)
+	handle("DELETE /schedules/{repo}", s.handleScheduleDelete)
+	handle("GET /changes", s.handleChanges)
+	handle("/healthz", s.handleHealthz)
+	handle("/metrics", s.handleMetrics)
+	return mux
 }
+
+// routeLabel turns a registered mux pattern into its pprof route label:
+// the literal path segments joined by dots, method and wildcards dropped
+// ("POST /jobs/{id}/promote" → "jobs.promote"). The empty pattern — a
+// request no route matched — is "other".
+func routeLabel(pattern string) string {
+	_, path, _ := strings.Cut(pattern, "/")
+	var parts []string
+	for _, seg := range strings.Split(path, "/") {
+		if seg != "" && !strings.HasPrefix(seg, "{") {
+			parts = append(parts, seg)
+		}
+	}
+	if len(parts) == 0 {
+		return "other"
+	}
+	return strings.Join(parts, ".")
+}
+
+// unmatchedRoute labels a request's goroutine until a matched handler
+// relabels it, so requests no route matched profile as "other".
+var unmatchedRoute = pprof.WithLabels(context.Background(), pprof.Labels("route", "other"))
 
 // statusWriter records the response status and byte count for the
 // request log without getting in the way of streaming: Flush passes
@@ -321,52 +355,6 @@ func (w *statusWriter) Flush() {
 // Unwrap exposes the underlying writer to http.ResponseController.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// routeOf maps a request path to a low-cardinality route label for
-// pprof profiles — path parameters (repo names, job ids) must not mint
-// unbounded label values.
-func routeOf(path string) string {
-	switch {
-	case path == "/extract":
-		return "extract"
-	case path == "/extract/batch":
-		return "extract.batch"
-	case path == "/extract/url":
-		return "extract.url"
-	case path == "/ingest":
-		return "ingest"
-	case path == "/induce":
-		return "induce"
-	case path == "/repos":
-		return "repos"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/changes":
-		return "changes"
-	case strings.HasPrefix(path, "/schedules/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/schedules/") {
-			return "schedules." + path[i+1:]
-		}
-		return "schedules"
-	case path == "/schedules":
-		return "schedules"
-	case strings.HasPrefix(path, "/repos/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/repos/") {
-			return "repos." + path[i+1:]
-		}
-		return "repos"
-	case strings.HasPrefix(path, "/jobs/"):
-		if i := strings.LastIndexByte(path, '/'); i > len("/jobs/") {
-			return "jobs." + path[i+1:]
-		}
-		return "jobs"
-	case path == "/jobs":
-		return "jobs"
-	}
-	return "other"
-}
-
 // instrument wraps the mux with the per-request observability envelope:
 //
 //   - a trace ID is adopted from a well-formed X-Trace-Id request header
@@ -374,9 +362,11 @@ func routeOf(path string) string {
 //     carried on the request context — pipeline stages, NDJSON result
 //     lines, induction captures and every log line under this request
 //     share it;
-//   - the goroutine runs under a pprof "route" label (propagated onto
-//     pool workers by Pool.Do), so CPU profiles attribute samples to
-//     routes;
+//   - the goroutine runs under a pprof "route" label — "other" until
+//     the mux matches a route, whose handler relabels it (see routes);
+//     extraction runs on this goroutine or on pipeline goroutines it
+//     starts, which inherit the label, so CPU profiles attribute
+//     samples to routes;
 //   - one structured request log line is emitted per exchange with
 //     method, route, status, body bytes and duration.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -399,12 +389,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			ctx, cancel = context.WithTimeout(ctx, s.RequestTimeout)
 			defer cancel()
 		}
-		// The served request escapes the closure because the mux stamps
-		// the matched pattern onto it — the request log wants that
-		// pattern, not the raw path.
-		var served *http.Request
-		pprof.Do(ctx, pprof.Labels("route", routeOf(r.URL.Path)), func(ctx context.Context) {
-			served = r.WithContext(ctx)
+		// The mux stamps the matched pattern onto the served request — the
+		// request log wants that pattern, not the raw path.
+		served := r.WithContext(ctx)
+		pprof.SetGoroutineLabels(unmatchedRoute)
+		func() {
+			defer pprof.SetGoroutineLabels(ctx)
 			// Panic isolation: a handler panic must not kill the daemon.
 			// http.ErrAbortHandler is the stdlib's sanctioned way to abort
 			// a response and must keep propagating.
@@ -428,7 +418,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				}
 			}()
 			next.ServeHTTP(sw, served)
-		})
+		}()
 		route := served.Pattern
 		if route == "" {
 			route = r.URL.Path
@@ -708,10 +698,11 @@ func (s *Server) learnRoute(r *http.Request, name string, page *core.Page, fails
 	s.Router.Observe(name, streamx.FingerprintPage(page))
 }
 
-// extractEntry runs one page extraction on the worker pool, recording
-// latency and failure metrics, per-version stats and the drift monitor
-// observation — and, when AutoRepair is on and this page tripped the
-// repository's drift alarm, kicking the background repair.
+// extractEntry runs one page extraction on the calling goroutine once the
+// pool admits it, recording latency and failure metrics, per-version
+// stats and the drift monitor observation — and, when AutoRepair is on
+// and this page tripped the repository's drift alarm, kicking the
+// background repair.
 func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
 	var el *extract.Element
 	var values map[string][]string
@@ -736,8 +727,8 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 		}
 		var pe *resilient.PanicError
 		if errors.As(err, &pe) {
-			// The rule panicked inside the pool; the worker recovered and
-			// the pool stays healthy — only this page fails.
+			// The rule panicked inside the pool; the pool recovered it and
+			// stays healthy — only this page fails.
 			return nil, nil, nil, errf(http.StatusInternalServerError,
 				"extraction failed: %v", pe)
 		}
@@ -935,8 +926,8 @@ func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error)
 }
 
 // batchResult renders one pipeline item in the /extract/batch wire
-// shape (kept from PR 1: per-line errors for undecodable lines, the
-// extractResult envelope with the serving generation otherwise).
+// shape: per-line errors for undecodable lines, the extractResult
+// envelope with the serving generation otherwise.
 func (s *Server) batchResult(it *pipeline.Item) any {
 	var pe *pipeline.PageError
 	switch {
@@ -956,52 +947,6 @@ func (s *Server) batchResult(it *pipeline.Item) any {
 		Record:     it.Element.JSONValue(),
 		Failures:   failureStrings(it.Failures),
 	}
-}
-
-func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	s.endpoint("extract.batch", w, r, func() error {
-		classify, err := s.requestClassifier(r)
-		if err != nil {
-			return err
-		}
-		// Read the whole batch before the first response write — the
-		// documented /extract/batch contract (the body is bounded by
-		// MaxBody, so buffering is safe, and clients need no streaming
-		// upload support). /ingest is the full-duplex streaming variant.
-		body, err := s.readBody(r)
-		if err != nil {
-			return err
-		}
-		if len(bytes.TrimSpace(body)) == 0 {
-			return errf(http.StatusBadRequest, "empty batch")
-		}
-		src := pipeline.NewNDJSONSource(bytes.NewReader(body), int(s.maxBody()), s.pageParser())
-
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
-		sink := pipeline.FuncSink(func(it *pipeline.Item) error {
-			if err := enc.Encode(s.batchResult(it)); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-		_, err = pipeline.Run(r.Context(), pipeline.Config{
-			Workers:    s.Pool.Workers(),
-			Classifier: classify,
-			Extractor:  extractor{s},
-			Telemetry:  s.Metrics.Pipeline,
-			OnPanic:    s.pipelinePanic,
-		}, src, sink)
-		return err
-	})
 }
 
 func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {

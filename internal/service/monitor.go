@@ -10,11 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/pipeline"
-	"repro/internal/streamx"
 )
 
 // Continuous monitoring: the drift-adaptive recrawl scheduler
@@ -98,14 +96,14 @@ func (s *Server) recrawlExtract(ctx context.Context, repo, url string) (map[stri
 	if err != nil {
 		return nil, fmt.Errorf("recrawl: %w", err)
 	}
+	route := pipeline.RouteWith(s.Router)
 	classify := pipeline.ClassifierFunc(func(p *core.Page) (string, float64, error) {
-		route, ok := s.Router.RouteLazy(p.URI,
-			func() cluster.Features { return streamx.FingerprintPage(p) })
-		if !ok || route.Name != repo {
-			return "", route.Score, fmt.Errorf(
+		name, score, err := route.Classify(p)
+		if err != nil || name != repo {
+			return "", score, fmt.Errorf(
 				"recrawl: page %q is not %q traffic: %w", p.URI, repo, pipeline.ErrUnrouted)
 		}
-		return repo, route.Score, nil
+		return repo, score, nil
 	})
 	var mu sync.Mutex
 	records := map[string]monitor.Record{}
@@ -121,13 +119,7 @@ func (s *Server) recrawlExtract(ctx context.Context, repo, url string) (map[stri
 		mu.Unlock()
 		return nil
 	})
-	_, err = pipeline.Run(ctx, pipeline.Config{
-		Workers:    s.Pool.Workers(),
-		Classifier: classify,
-		Extractor:  extractor{s},
-		Telemetry:  s.Metrics.Pipeline,
-		OnPanic:    s.pipelinePanic,
-	}, crawl, sink)
+	_, err = pipeline.Run(ctx, s.pipelineConfig(classify), crawl, sink)
 	if err != nil {
 		return nil, fmt.Errorf("recrawl: %w", err)
 	}

@@ -2,10 +2,15 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -142,5 +147,96 @@ func TestIngestLinesCarryTrace(t *testing.T) {
 	}
 	if !summary.Done || summary.Trace != trace {
 		t.Errorf("summary = %+v, want done with trace %q", summary, trace)
+	}
+}
+
+// TestRouteLabelsBounded: the pprof route label is derived from the
+// matched mux pattern, so client-chosen path segments never mint label
+// values — every request no route matches profiles as "other".
+func TestRouteLabelsBounded(t *testing.T) {
+	srv := NewServer(1, 1, nil)
+	defer srv.Close()
+	mux := srv.routes()
+	labelOf := func(method, path string) string {
+		_, pattern := mux.Handler(httptest.NewRequest(method, path, nil))
+		return routeLabel(pattern)
+	}
+	for req, want := range map[string]string{
+		"POST /extract":                  "extract",
+		"POST /extract/batch":            "extract.batch",
+		"GET /repos/movies/health":       "repos.health",
+		"POST /jobs/7/promote":           "jobs.promote",
+		"GET /jobs/42":                   "jobs",
+		"DELETE /schedules/movies":       "schedules",
+		"GET /repos/x/attacker-chosen-1": "other",
+		"GET /jobs/1/anything":           "other",
+		"GET /no/such/route":             "other",
+	} {
+		method, path, _ := strings.Cut(req, " ")
+		if got := labelOf(method, path); got != want {
+			t.Errorf("%s: route label %q, want %q", req, got, want)
+		}
+	}
+
+	labels := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		tok := fmt.Sprintf("rnd%d", i)
+		for _, method := range []string{"GET", "POST", "DELETE"} {
+			for _, path := range []string{
+				"/" + tok, "/repos/" + tok, "/repos/x/" + tok, "/repos/" + tok + "/health",
+				"/jobs/" + tok, "/jobs/1/" + tok, "/schedules/" + tok, "/schedules/" + tok + "/" + tok,
+			} {
+				l := labelOf(method, path)
+				if strings.Contains(l, "rnd") {
+					t.Fatalf("%s %s: route label %q copies the path", method, path, l)
+				}
+				labels[l] = true
+			}
+		}
+	}
+	if len(labels) > 8 {
+		t.Fatalf("unmatched and parameterised paths minted %d route labels: %v", len(labels), labels)
+	}
+}
+
+// TestRouteLabelOnWaitingHandler: a request waiting for extraction
+// admission is profiled under its route, because the extraction runs on
+// the handler's own labelled goroutine rather than on a pool goroutine.
+func TestRouteLabelOnWaitingHandler(t *testing.T) {
+	srv := NewServer(1, 1, nil)
+	srv.AdmissionWait = 10 * time.Second
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	_, repo := buildMoviesRepo(t, 17, 12)
+	postJSONRepo(t, ts.URL, repo, "movies")
+
+	release := blockPool(t, srv.Pool)
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/extract?repo=movies", "text/html",
+			strings.NewReader("<html><body><h1>T</h1></body></html>"))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d, want 200", resp.StatusCode)
+			}
+		}
+		done <- err
+	}()
+	labelled := false
+	for deadline := time.Now().Add(5 * time.Second); !labelled && time.Now().Before(deadline); {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		labelled = strings.Contains(buf.String(), `labels: {"route":"extract"}`)
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("extract after release: %v", err)
+	}
+	if !labelled {
+		t.Fatal(`no goroutine carried the "route":"extract" label while the request waited`)
 	}
 }
