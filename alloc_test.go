@@ -5,12 +5,16 @@
 package repro
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dom"
 	"repro/internal/extract"
+	"repro/internal/pipeline"
 	"repro/internal/rule"
 	"repro/internal/streamx"
 	"repro/internal/xpath"
@@ -163,5 +167,69 @@ func TestFastPathLocationZeroAllocsOnCorpusPage(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("fast-path SelectLocationFirst allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestNDJSONSourceAllocBudget pins the /ingest framing cost: decoding a
+// canonical json.Marshal-escaped page line into a lazy page makes three
+// allocations — the uri string, the html string (each built in one
+// allocation, straight from the scanner's buffer) and the Page. Decoding
+// through encoding/json made 11.
+func TestNDJSONSourceAllocBudget(t *testing.T) {
+	cl := corpus.GenerateMovies(corpus.DefaultMovieProfile(3, 2))
+	line, err := json.Marshal(pipeline.PageLine{URI: cl.Pages[0].URI, HTML: dom.Render(cl.Pages[0].Doc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(line, []byte(`\u003c`)) {
+		t.Fatal("line carries no escapes; the budget must cover unescaping")
+	}
+	const runs = 100
+	body := bytes.Repeat(append(line, '\n'), runs+1)
+	src := pipeline.NewNDJSONSource(bytes.NewReader(body), 0, core.NewPageLazy)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if p, err := src.Next(ctx); err != nil || p.URI != cl.Pages[0].URI {
+			t.Errorf("Next = %v", err)
+		}
+	})
+	const budget = 3
+	if allocs > budget {
+		t.Errorf("NDJSONSource.Next allocates %.1f/line, budget %d", allocs, budget)
+	}
+}
+
+// TestAppendJSONZeroAllocs: rendering a corpus movies record into a
+// buffer with room allocates nothing — no map tree, no reflection, no
+// "@"+name keys.
+func TestAppendJSONZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus induction is slow")
+	}
+	cl := corpus.GenerateMovies(corpus.DefaultMovieProfile(9, 30))
+	sample, _ := cl.RepresentativeSplit(10)
+	builder := &core.Builder{Sample: sample, Oracle: cl.Oracle()}
+	repo := rule.NewRepository(cl.Name)
+	if _, err := builder.BuildAll(repo, cl.ComponentNames()); err != nil {
+		t.Fatal(err)
+	}
+	proc, err := extract.NewProcessor(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, _ := proc.ExtractPage(cl.Pages[len(cl.Pages)-1])
+	want, err := json.Marshal(el.JSONValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2*len(want))
+	if got := el.AppendJSON(buf); !bytes.Equal(got, want) {
+		t.Fatalf("AppendJSON = %s\nwant %s", got, want)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = el.AppendJSON(buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("AppendJSON allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -7,10 +7,12 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync/atomic"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -350,57 +352,91 @@ func BenchmarkExtractPage(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractdThroughput measures the online-extraction hot path of
-// the extractd service: pages/sec through the bounded worker pool against
-// a hot-loaded movies-corpus repository, with metrics accounting enabled
-// — the number a capacity plan for the daemon starts from.
-func BenchmarkExtractdThroughput(b *testing.B) {
-	cl := corpus.GenerateMovies(corpus.DefaultMovieProfile(9, 30))
-	sample, _ := cl.RepresentativeSplit(10)
-	builder := &core.Builder{Sample: sample, Oracle: cl.Oracle()}
-	repo := rule.NewRepository(cl.Name)
-	if _, err := builder.BuildAll(repo, cl.ComponentNames()); err != nil {
-		b.Fatal(err)
-	}
-	reg := service.NewRegistry()
-	entry, err := reg.Load("", repo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	pool := service.NewPool(workers, 4*workers)
-	defer pool.Close()
-	metrics := service.NewMetrics()
-
-	var idx atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			page := cl.Pages[int(idx.Add(1))%len(cl.Pages)]
-			var el *extract.Element
-			var fails []extract.Failure
-			t0 := time.Now()
-			err := pool.DoWait(context.Background(), -1, func() {
-				el, fails = entry.Proc.ExtractPage(page)
-			})
+// BenchmarkIngestHandler measures the daemon's whole-site ingestion path
+// in process: one POST /ingest through Server.Handler() carrying b.N
+// json.Marshal-escaped movies+books NDJSON lines — envelope decode, page
+// cache, URL-pattern routing, admission gate, streaming extraction, drift
+// observation, result encoding and a flush per line, configured as
+// extractd runs by default. One op is one page, so allocs/op and B/op
+// are per page; reports pages/sec.
+func BenchmarkIngestHandler(b *testing.B) {
+	srv := service.NewServer(0, 0, nil)
+	srv.RequestTimeout = 30 * time.Second
+	srv.RouterLearn = true
+	defer srv.Close()
+	var lines [][]byte
+	for _, cl := range []*corpus.Cluster{
+		corpus.GenerateMovies(corpus.DefaultMovieProfile(9, 20)),
+		corpus.GenerateBooks(corpus.DefaultBookProfile(10, 20)),
+	} {
+		sample, _ := cl.RepresentativeSplit(10)
+		builder := &core.Builder{Sample: sample, Oracle: cl.Oracle()}
+		repo := rule.NewRepository(cl.Name)
+		if _, err := builder.BuildAll(repo, cl.ComponentNames()); err != nil {
+			b.Fatal(err)
+		}
+		var infos []cluster.PageInfo
+		for _, p := range cl.Pages {
+			infos = append(infos, cluster.PageInfo{URI: p.URI, Doc: p.Doc})
+			line, err := json.Marshal(pipeline.PageLine{URI: p.URI, HTML: dom.Render(p.Doc)})
 			if err != nil {
 				b.Fatal(err)
 			}
-			metrics.Extraction(time.Since(t0), fails)
-			if len(el.Children) == 0 {
-				b.Fatal("empty extraction")
-			}
+			lines = append(lines, append(line, '\n'))
 		}
-	})
+		repo.Signature = cluster.SignatureOf(infos)
+		if _, err := srv.LoadRepo(cl.Name, repo); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var body []byte
+	for i := 0; i < b.N; i++ {
+		body = append(body, lines[i%len(lines)]...)
+	}
+	h := srv.Handler()
+	w := &ingestWriter{header: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body))
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	h.ServeHTTP(w, req)
 	elapsed := time.Since(start).Seconds()
+	b.StopTimer()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N)/elapsed, "pages/sec")
 	}
-	if snap := metrics.Snapshot(); snap.PagesExtracted != int64(b.N) {
-		b.Fatalf("metrics counted %d pages, ran %d", snap.PagesExtracted, b.N)
+	var sum struct {
+		Done      bool `json:"done"`
+		Extracted int  `json:"extracted"`
 	}
+	if err := json.Unmarshal(w.last, &sum); err != nil || w.status != http.StatusOK ||
+		w.lines != b.N+1 || !sum.Done || sum.Extracted != b.N {
+		b.Fatalf("/ingest: status %d, %d lines for %d pages, summary %s", w.status, w.lines, b.N, w.last)
+	}
+}
+
+// ingestWriter is the benchmark's response sink: it keeps only the line
+// count and the last write — the handler writes one whole line per write
+// — so the response costs the handler nothing a connection would not.
+type ingestWriter struct {
+	header http.Header
+	status int
+	lines  int
+	last   []byte
+}
+
+func (w *ingestWriter) Header() http.Header { return w.header }
+func (w *ingestWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+}
+func (w *ingestWriter) Flush() {}
+func (w *ingestWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.lines += bytes.Count(p, []byte("\n"))
+	w.last = append(w.last[:0], p...)
+	return len(p), nil
 }
 
 // BenchmarkIngestSite measures whole-site ingestion throughput through

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,7 +107,9 @@ type ResultLine struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// MakeResultLine renders one item as its NDJSON wire line.
+// MakeResultLine renders one item as its NDJSON wire line. Record is the
+// element's AppendJSON rendering as a json.RawMessage: the same bytes
+// json.Marshal(Element.JSONValue()) gives, without the map tree.
 func MakeResultLine(it *Item) ResultLine {
 	line := ResultLine{Repo: it.Repo, Score: it.Score}
 	if it.Page != nil {
@@ -117,7 +120,11 @@ func MakeResultLine(it *Item) ResultLine {
 		return line
 	}
 	if it.Element != nil {
-		line.Record = it.Element.JSONValue()
+		// Render into stack scratch, then copy out once: a record costs
+		// one exact-size allocation instead of a map tree, reflection and
+		// the appends of a growing buffer.
+		var scratch [1024]byte
+		line.Record = json.RawMessage(bytes.Clone(it.Element.AppendJSON(scratch[:0])))
 	}
 	for _, f := range it.Failures {
 		line.Failures = append(line.Failures, f.String())

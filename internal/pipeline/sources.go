@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -146,15 +145,19 @@ type PageLine struct {
 }
 
 // NDJSONSource streams pages from NDJSON {"uri","html"} lines. Blank
-// lines are skipped but counted, so reported line numbers match the
-// physical input; malformed lines and lines exceeding maxLine surface as
-// page-level errors carrying the line number.
+// lines (only JSON whitespace) are skipped but counted, so reported line
+// numbers match the physical input; malformed lines and lines exceeding
+// maxLine surface as page-level errors carrying the line number. Each
+// line is decoded in place from the scanner's buffer (see
+// decodePageLine), so a page's strings are its only copies.
 type NDJSONSource struct {
 	sc      *bufio.Scanner
 	line    int
 	parse   PageParser
 	maxLine int
 	dead    bool
+	// scratch is the unescape buffer decodePageLine reuses across lines.
+	scratch []byte
 }
 
 // NewNDJSONSource reads NDJSON pages from r. maxLine bounds one line in
@@ -184,12 +187,14 @@ func (s *NDJSONSource) Next(ctx context.Context) (*core.Page, error) {
 	}
 	for s.sc.Scan() {
 		s.line++
-		raw := strings.TrimSpace(s.sc.Text())
-		if raw == "" {
+		raw := s.sc.Bytes()
+		// Blank means JSON whitespace only: \v, \f, U+0085 or U+00A0
+		// make a line encoding/json rejects, reported like any other.
+		if skipJSONSpace(raw, 0) == len(raw) {
 			continue
 		}
-		var in PageLine
-		if err := json.Unmarshal([]byte(raw), &in); err != nil {
+		in, err := decodePageLine(raw, &s.scratch)
+		if err != nil {
 			return nil, &PageError{Line: s.line, Err: err}
 		}
 		uri := in.URI

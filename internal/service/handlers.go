@@ -790,17 +790,17 @@ func (s *Server) pageFor(uri string, body []byte) *core.Page {
 	return s.pageForKey(uri, PageKeyOf(body), int64(len(body)), func() string { return string(body) })
 }
 
-// pageForString is pageFor for bodies already held as strings (batch
-// lines): hashing pays the one unavoidable byte-slice conversion, but the
-// original string feeds the parser directly, so no second full-body copy.
+// pageForString is pageFor for bodies already held as strings (batch and
+// ingest lines): the string is hashed in place and feeds the parser
+// directly, so the body is never copied.
 func (s *Server) pageForString(uri, html string) *core.Page {
 	if s.PageCache == nil {
 		if uri == "" {
-			uri = syntheticURI([]byte(html))
+			uri = syntheticURIFromKey(pageKeyOfString(html))
 		}
 		return core.NewPageLazy(uri, html)
 	}
-	return s.pageForKey(uri, PageKeyOf([]byte(html)), int64(len(html)), func() string { return html })
+	return s.pageForKey(uri, pageKeyOfString(html), int64(len(html)), func() string { return html })
 }
 
 // pageForKey finishes a cache-enabled page lookup; src is only invoked on

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
+	"unsafe"
 
 	"repro/internal/dom"
 )
@@ -70,6 +71,13 @@ func (c *PageCache) SetMaxBytes(n int64) {
 
 // PageKeyOf hashes a page body into its cache key.
 func PageKeyOf(body []byte) PageKey { return sha256.Sum256(body) }
+
+// pageKeyOfString is PageKeyOf for a body held as a string, hashed in
+// place: Sum256 only reads its input, so the string's bytes are viewed,
+// not copied.
+func pageKeyOfString(body string) PageKey {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(body), len(body)))
+}
 
 // Get returns the cached document for key, marking it most recently used.
 func (c *PageCache) Get(key PageKey) (*dom.Node, bool) {

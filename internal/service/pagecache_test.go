@@ -212,3 +212,28 @@ func TestExtractEndpointUsesPageCache(t *testing.T) {
 		t.Fatalf("fallback reasons = %v, want general-xpath=2", snap.StreamFallbackReasons)
 	}
 }
+
+// TestPageForStringHashesInPlace: an ingest line's html string is keyed
+// without copying it into a []byte, and names the same synthetic URI and
+// cache entry as the identical /extract body.
+func TestPageForStringHashesInPlace(t *testing.T) {
+	srv := NewServer(1, 1, nil)
+	defer srv.Close()
+	html := "<html><body>" + strings.Repeat("<p>row</p>", 200) + "</body></html>"
+	if got, want := pageKeyOfString(html), PageKeyOf([]byte(html)); got != want {
+		t.Fatal("string key differs from the byte-slice key")
+	}
+	doc := srv.pageForString("http://site/a", html).Document()
+	if p := srv.pageFor("", []byte(html)); p.Doc != doc || p.URI != srv.pageForString("", html).URI {
+		t.Fatal("string and byte-slice bodies must share the cache entry and synthetic URI")
+	}
+	// The hit path allocates the Page and nothing else.
+	allocs := testing.AllocsPerRun(100, func() {
+		if srv.pageForString("http://site/a", html).Doc != doc {
+			t.Error("cache miss")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("pageForString cache hit allocates %.1f/op, want 1", allocs)
+	}
+}
