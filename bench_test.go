@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -414,6 +415,71 @@ func BenchmarkIngestHandler(b *testing.B) {
 		b.Fatalf("/ingest: status %d, %d lines for %d pages, summary %s", w.status, w.lines, b.N, w.last)
 	}
 }
+
+// BenchmarkExtractHandler measures the daemon's single-page path in
+// process: one POST /extract?uri=… per op through Server.Handler(),
+// cycling movies bodies — body read, page cache, URL-pattern routing,
+// admission gate, streaming extraction, drift observation and the
+// indented JSON response, configured as extractd runs by default. One op
+// is one request, so allocs/op and B/op are per request.
+func BenchmarkExtractHandler(b *testing.B) {
+	srv := service.NewServer(0, 0, nil)
+	srv.RequestTimeout = 30 * time.Second
+	srv.RouterLearn = true
+	defer srv.Close()
+	cl := corpus.GenerateMovies(corpus.DefaultMovieProfile(9, 20))
+	sample, _ := cl.RepresentativeSplit(10)
+	builder := &core.Builder{Sample: sample, Oracle: cl.Oracle()}
+	repo := rule.NewRepository(cl.Name)
+	if _, err := builder.BuildAll(repo, cl.ComponentNames()); err != nil {
+		b.Fatal(err)
+	}
+	var infos []cluster.PageInfo
+	type target struct {
+		req  *http.Request
+		body *rewindBody
+		html []byte
+	}
+	var targets []target
+	for _, p := range cl.Pages {
+		infos = append(infos, cluster.PageInfo{URI: p.URI, Doc: p.Doc})
+		body := &rewindBody{}
+		req := httptest.NewRequest(http.MethodPost, "/extract?uri="+url.QueryEscape(p.URI), nil)
+		req.Body = body
+		targets = append(targets, target{req: req, body: body, html: []byte(dom.Render(p.Doc))})
+	}
+	repo.Signature = cluster.SignatureOf(infos)
+	if _, err := srv.LoadRepo(cl.Name, repo); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	w := &ingestWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := targets[i%len(targets)]
+		t.body.Reset(t.html)
+		w.status = 0
+		h.ServeHTTP(w, t.req)
+		if w.status != http.StatusOK {
+			b.Fatalf("/extract: status %d: %s", w.status, w.last)
+		}
+	}
+	b.StopTimer()
+	var res struct {
+		Repo   string          `json:"repo"`
+		Record json.RawMessage `json:"record"`
+	}
+	if err := json.Unmarshal(w.last, &res); err != nil || res.Repo != cl.Name || len(res.Record) == 0 {
+		b.Fatalf("/extract: response %s", w.last)
+	}
+}
+
+// rewindBody is a request body the benchmark refills before each
+// request, so reusing one *http.Request costs no per-op allocation.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
 
 // ingestWriter is the benchmark's response sink: it keeps only the line
 // count and the last write — the handler writes one whole line per write

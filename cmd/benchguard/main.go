@@ -1,7 +1,8 @@
-// Command benchguard compares one benchmark's ns/op between two `go test
-// -json` streams and fails when the current run regresses past a
-// threshold — the CI tripwire that keeps the extraction hot path from
-// quietly slowing down across PRs.
+// Command benchguard compares one benchmark's ns/op — and its allocs/op,
+// when both streams report them — between two `go test -json` streams
+// and fails when the current run regresses past a threshold: the CI
+// tripwire that keeps the extraction hot path from quietly slowing down
+// or allocating more across PRs.
 //
 // Usage:
 //
@@ -20,6 +21,11 @@
 // the guard then compares the *ratio* bench/ref across the two runs,
 // cancelling raw hardware delta to first order. An empty -ref compares
 // absolute ns/op.
+//
+// Allocation counts do not depend on machine speed, so allocs/op is
+// compared raw and without slack: any increase over the baseline fails.
+// They do depend on GOMAXPROCS for benchmarks that run goroutines, so
+// record the baseline and the current run with the same -cpu.
 package main
 
 import (
@@ -40,15 +46,27 @@ type testEvent struct {
 }
 
 // minNsPerOp extracts the minimum ns/op recorded for bench in a test2json
-// stream. Benchmark result lines surface as output events shaped like
-// "BenchmarkExtractPage  1340  1646351 ns/op  266316 B/op  6492 allocs/op",
-// but test2json may split one line across several events (the name flushes
-// before the timing is appended), so output is reassembled per
-// package/test before scanning for result lines.
+// stream; a stream without the benchmark is an error.
 func minNsPerOp(path, bench string) (float64, error) {
+	ns, ok, err := minMetric(path, bench, "ns/op")
+	if err == nil && !ok {
+		err = fmt.Errorf("benchmark %q not found in %s", bench, path)
+	}
+	return ns, err
+}
+
+// minMetric extracts the minimum value bench reported in unit ("ns/op",
+// "allocs/op") across the records of a test2json stream; ok is false
+// when no record reports it. Benchmark result lines surface as output
+// events shaped like
+// "BenchmarkExtractPage  1340  1646351 ns/op  266316 B/op  6492 allocs/op",
+// but test2json may split one line across several events (the name
+// flushes before the timing is appended), so output is reassembled per
+// package/test before scanning for result lines.
+func minMetric(path, bench, unit string) (best float64, ok bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	defer f.Close()
 	streams := map[string]*strings.Builder{}
@@ -75,30 +93,23 @@ func minNsPerOp(path, bench string) (float64, error) {
 		b.WriteString(ev.Output)
 	}
 	if err := sc.Err(); err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	best := 0.0
-	found := false
 	for _, b := range streams {
 		for _, line := range strings.Split(b.String(), "\n") {
-			ns, ok := parseBenchLine(line, bench)
-			if !ok {
-				continue
-			}
-			if !found || ns < best {
-				best, found = ns, true
+			v, found := parseBenchLine(line, bench, unit)
+			if found && (!ok || v < best) {
+				best, ok = v, true
 			}
 		}
 	}
-	if !found {
-		return 0, fmt.Errorf("benchmark %q not found in %s", bench, path)
-	}
-	return best, nil
+	return best, ok, nil
 }
 
-// parseBenchLine pulls ns/op out of one benchmark output line when it
-// reports the wanted benchmark (GOMAXPROCS suffixes like -8 match too).
-func parseBenchLine(line, bench string) (float64, bool) {
+// parseBenchLine pulls the value reported in unit ("ns/op",
+// "allocs/op") out of one benchmark output line when it reports the
+// wanted benchmark (GOMAXPROCS suffixes like -8 match too).
+func parseBenchLine(line, bench, unit string) (float64, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return 0, false
@@ -108,14 +119,14 @@ func parseBenchLine(line, bench string) (float64, bool) {
 		return 0, false
 	}
 	for i := 2; i < len(fields); i++ {
-		if fields[i] != "ns/op" {
+		if fields[i] != unit {
 			continue
 		}
-		ns, err := strconv.ParseFloat(fields[i-1], 64)
+		v, err := strconv.ParseFloat(fields[i-1], 64)
 		if err != nil {
 			return 0, false
 		}
-		return ns, true
+		return v, true
 	}
 	return 0, false
 }
@@ -152,10 +163,33 @@ func main() {
 	}
 	change := (curScore - baseScore) / baseScore
 	fmt.Printf("normalized change: %+.1f%%\n", change*100)
+	failed := false
 	if change > *maxRegress {
 		fmt.Fprintf(os.Stderr,
 			"benchguard: %s regressed %.1f%% > allowed %.1f%% — commit with [bench-skip] if intentional\n",
 			*bench, change*100, *maxRegress*100)
+		failed = true
+	}
+	allocsOf := func(path string) (float64, bool) {
+		n, ok, err := minMetric(path, *bench, "allocs/op")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchguard:", err)
+			os.Exit(2)
+		}
+		return n, ok
+	}
+	baseAllocs, baseOK := allocsOf(*baseline)
+	curAllocs, curOK := allocsOf(*current)
+	if baseOK && curOK {
+		fmt.Printf("%s: baseline %.0f allocs/op, current %.0f allocs/op\n", *bench, baseAllocs, curAllocs)
+		if curAllocs > baseAllocs {
+			fmt.Fprintf(os.Stderr,
+				"benchguard: %s allocates %.0f/op > baseline %.0f/op — commit with [bench-skip] if intentional\n",
+				*bench, curAllocs, baseAllocs)
+			failed = true
+		}
+	}
+	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchguard: within threshold")

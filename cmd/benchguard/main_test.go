@@ -19,7 +19,7 @@ func TestParseBenchLine(t *testing.T) {
 		{"BenchmarkExtractPage \t 5\t no-number ns/op\n", "BenchmarkExtractPage", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := parseBenchLine(c.line, c.bench)
+		got, ok := parseBenchLine(c.line, c.bench, "ns/op")
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("parseBenchLine(%q) = %v,%v want %v,%v", c.line, got, ok, c.want, c.ok)
 		}
@@ -50,5 +50,28 @@ not-json-noise-between-streams
 	}
 	if _, err := minNsPerOp(path, "BenchmarkMissing"); err == nil {
 		t.Fatal("missing benchmark should error")
+	}
+}
+
+func TestMinMetricAllocsSkipsRecordsWithout(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bench.json")
+	stream := `{"Action":"output","Package":"repro","Test":"BenchmarkIngestHandler","Output":"BenchmarkIngestHandler \t 100\t 900 ns/op\t 3900 B/op\t 56 allocs/op\n"}
+{"Action":"output","Package":"repro","Test":"BenchmarkIngestHandler","Output":"BenchmarkIngestHandler \t 100\t 800 ns/op\n"}
+{"Action":"output","Package":"repro","Test":"BenchmarkIngestHandler","Output":"BenchmarkIngestHandler-4 \t 100\t 950 ns/op\t 3800 B/op\t 54 allocs/op\n"}
+{"Action":"output","Package":"repro","Test":"BenchmarkHTMLParse","Output":"BenchmarkHTMLParse \t 100\t 20000 ns/op\n"}
+`
+	if err := os.WriteFile(path, []byte(stream), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := minMetric(path, "BenchmarkIngestHandler", "allocs/op")
+	if err != nil || !ok || got != 54 {
+		t.Fatalf("allocs min = %v,%v,%v want 54,true,nil", got, ok, err)
+	}
+	if _, ok, err := minMetric(path, "BenchmarkHTMLParse", "allocs/op"); err != nil || ok {
+		t.Fatalf("a benchmark without allocs/op reported ok=%v err=%v, want neither", ok, err)
+	}
+	if got, err := minNsPerOp(path, "BenchmarkIngestHandler"); err != nil || got != 800 {
+		t.Fatalf("ns min = %v,%v want 800", got, err)
 	}
 }

@@ -102,7 +102,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second,
 		"graceful-shutdown budget for in-flight requests on SIGINT/SIGTERM")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second,
-		"per-request deadline (streaming /ingest is bounded per page instead; 0 disables)")
+		"per-request deadline (streaming /ingest caps each page's admission wait with it instead; 0 disables)")
 	admissionWait := flag.Duration("admission-wait", 2*time.Second,
 		"how long a request may wait for a pool slot before a 503 + Retry-After (negative waits forever)")
 	inductOn := flag.Bool("induct", false,

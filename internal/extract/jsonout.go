@@ -2,8 +2,6 @@ package extract
 
 import (
 	"cmp"
-	"encoding/json"
-	"io"
 	"slices"
 	"strings"
 	"unicode/utf8"
@@ -63,23 +61,6 @@ func (e *Element) JSONValue() any {
 		}
 	}
 	return obj
-}
-
-// WriteJSON serializes the element as indented JSON, wrapped in a
-// single-key object naming the element — the JSON analogue of WriteXML.
-func (e *Element) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{e.Name: e.JSONValue()})
-}
-
-// JSONString returns the serialized JSON document.
-func (e *Element) JSONString() string {
-	b, err := json.MarshalIndent(map[string]any{e.Name: e.JSONValue()}, "", "  ")
-	if err != nil {
-		return ""
-	}
-	return string(b)
 }
 
 // AppendJSON appends the element's JSON rendering to dst and returns the

@@ -3,7 +3,6 @@ package extract
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -63,26 +62,6 @@ func TestJSONValueAttributedLeaf(t *testing.T) {
 	obj, ok := e.JSONValue().(map[string]any)
 	if !ok || obj["@uri"] != "u" || obj["#text"] != "body" {
 		t.Fatalf("attributed leaf = %#v", e.JSONValue())
-	}
-}
-
-func TestWriteJSONRoundTrips(t *testing.T) {
-	page := NewElement("movie")
-	page.Add(NewElement("title")).Text = "T <&> \"q\""
-	var b strings.Builder
-	if err := page.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b.String())
-	}
-	movie := decoded["movie"].(map[string]any)
-	if movie["title"] != "T <&> \"q\"" {
-		t.Errorf("title = %v", movie["title"])
-	}
-	if b.String() != page.JSONString()+"\n" {
-		t.Error("JSONString and WriteJSON disagree")
 	}
 }
 

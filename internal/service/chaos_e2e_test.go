@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dom"
+	"repro/internal/pipeline"
 )
 
 // Chaos end-to-end suite: the failure-hardening acceptance paths from
@@ -242,5 +245,59 @@ func TestChaosConcurrentOverload(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-storm extract = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestChaosIngestAdmissionBounded: /ingest runs outside the request
+// deadline, so with the pool wedged and an unbounded admission wait
+// only the per-page admission bound (RequestTimeout) keeps its pages
+// from waiting forever. Each page must fail as unscheduled and the
+// summary line must still arrive, within seconds.
+func TestChaosIngestAdmissionBounded(t *testing.T) {
+	srv, ts := newChaosServer(t)
+	srv.RequestTimeout = 30 * time.Millisecond
+	srv.AdmissionWait = -1
+	cl, repo := buildMoviesRepo(t, 37, 12)
+	postJSONRepo(t, ts.URL, repo, "movies")
+
+	const pages = 4
+	var in strings.Builder
+	for _, p := range cl.Pages[:pages] {
+		in.Write(mustJSON(t, pipeline.PageLine{URI: p.URI, HTML: dom.Render(p.Doc)}))
+		in.WriteByte('\n')
+	}
+
+	release := blockPool(t, srv.Pool)
+	defer release()
+
+	// Without the bound the request never completes; the client timeout
+	// turns that hang into a failure.
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/ingest?repo=movies", "application/x-ndjson",
+		strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatalf("/ingest under a wedged pool: %v — per-page admission bound lost", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/ingest under a wedged pool: %v — per-page admission bound lost", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != pages+1 {
+		t.Fatalf("%d lines, want %d page lines + summary:\n%s", len(lines), pages, body)
+	}
+	for i, l := range lines[:pages] {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("line %d %q: %v", i, l, err)
+		}
+		if msg, _ := m["error"].(string); !strings.Contains(msg, "extraction not scheduled") {
+			t.Errorf("line %d = %s, want an unscheduled-page error", i, l)
+		}
+	}
+	var sum ingestSummary
+	if err := json.Unmarshal([]byte(lines[pages]), &sum); err != nil || !sum.Done || sum.PageErrors != pages {
+		t.Fatalf("summary %s (%v), want done with %d page errors", lines[pages], err, pages)
 	}
 }

@@ -115,8 +115,8 @@ type Server struct {
 	// RequestTimeout, when > 0, bounds every request: handlers run under
 	// a context.WithTimeout-derived deadline. The streaming /ingest
 	// route is exempt (a whole-site ingestion legitimately outlives any
-	// fixed request budget) — there the deadline applies per page, in
-	// the extract stage.
+	// fixed request budget) — there it bounds each page's wait for pool
+	// admission instead (see pipelineAdmissionWait).
 	RequestTimeout time.Duration
 	// AdmissionWait bounds how long a request waits for a pool slot
 	// before shedding with 503 + Retry-After (default 2s; negative
@@ -382,8 +382,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		// Deadline propagation: every request runs under the server's
 		// request budget, except the streaming routes — a whole-site
 		// /ingest or a followed /changes tail legitimately outlives any
-		// fixed budget, so there the deadline applies per extracted page
-		// instead (see extractor).
+		// fixed budget, so there the budget bounds each page's
+		// admission wait instead (see pipelineAdmissionWait).
 		if s.RequestTimeout > 0 && r.URL.Path != "/ingest" && r.URL.Path != "/changes" {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.RequestTimeout)
@@ -512,11 +512,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
+// responseStarted reports whether the handler has begun its response:
+// past that point the status is on the wire, and an error can only
+// travel in-band (an NDJSON error or summary line).
+func responseStarted(w http.ResponseWriter) bool {
+	sw, ok := w.(*statusWriter)
+	return ok && sw.wrote
+}
+
 // endpoint wraps a handler with request counting and error rendering.
+// An error from a handler whose response has started is counted but
+// not rendered: the handler already reported it in-band.
 func (s *Server) endpoint(name string, w http.ResponseWriter, r *http.Request, fn func() error) {
 	err := fn()
 	s.Metrics.Request(name, err != nil)
-	if err != nil {
+	if err != nil && !responseStarted(w) {
 		status := http.StatusInternalServerError
 		if he, ok := err.(*httpError); ok {
 			status = he.status
@@ -604,26 +614,16 @@ func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Extraction.
 
-// extractResult is the JSON envelope of one extracted page.
+// extractResult is the JSON envelope of one extracted page. The server
+// fills Record with the element's AppendJSON rendering (see
+// recordResult); a client decoding into the struct gets the generic
+// JSON value.
 type extractResult struct {
 	URI        string   `json:"uri"`
 	Repo       string   `json:"repo"`
 	Generation int      `json:"generation"`
 	Record     any      `json:"record"`
 	Failures   []string `json:"failures,omitempty"`
-}
-
-// lookupRepo resolves an explicitly named repository (?repo=).
-func (s *Server) lookupRepo(r *http.Request) (*RepoEntry, error) {
-	name := r.URL.Query().Get("repo")
-	if name == "" {
-		return nil, errf(http.StatusBadRequest, "repo parameter required")
-	}
-	e, ok := s.Registry.Get(name)
-	if !ok {
-		return nil, errf(http.StatusNotFound, "repository %q not loaded", name)
-	}
-	return e, nil
 }
 
 // routePage classifies a page to a loaded repository via the router —
@@ -668,16 +668,6 @@ func (s *Server) routePage(ctx context.Context, page *core.Page) (*RepoEntry, fl
 	return e, route.Score, nil
 }
 
-// resolveRepo picks the repository for a request: the explicit ?repo=
-// name when present, else the router's pick for the page.
-func (s *Server) resolveRepo(r *http.Request, page *core.Page) (*RepoEntry, error) {
-	if r.URL.Query().Get("repo") != "" {
-		return s.lookupRepo(r)
-	}
-	e, _, err := s.routePage(r.Context(), page)
-	return e, err
-}
-
 // routerLearnCap is where online route learning stops: once a signature
 // has absorbed this many pages it has converged, and the per-request
 // fingerprint walk + router write-lock would be pure hot-path overhead.
@@ -698,18 +688,36 @@ func (s *Server) learnRoute(r *http.Request, name string, page *core.Page, fails
 	s.Router.Observe(name, streamx.FingerprintPage(page))
 }
 
-// extractEntry runs one page extraction on the calling goroutine once the
-// pool admits it, recording latency and failure metrics, per-version
+// pipelineAdmissionWait bounds how long a pipeline page (/ingest,
+// /extract/batch, recrawls) waits for a pool slot: the admission wait,
+// capped by RequestTimeout when one is set — also when the admission
+// wait is negative (unbounded). /ingest runs outside the request
+// deadline, so this value is what keeps a wedged pool from stalling its
+// pages forever; past it a page fails as shed. Once admitted, a page
+// runs to completion: extraction reads no context.
+func (s *Server) pipelineAdmissionWait() time.Duration {
+	wait := s.admissionWait()
+	if s.RequestTimeout > 0 && (wait < 0 || wait > s.RequestTimeout) {
+		return s.RequestTimeout
+	}
+	return wait
+}
+
+// extractEntry is the extraction step of every endpoint: it resolves
+// the classified repository, runs the extraction on the calling
+// goroutine once the pool admits it (waiting at most maxWait, see
+// Pool.DoWait), and records latency and failure metrics, per-version
 // stats and the drift monitor observation — and, when AutoRepair is on
-// and this page tripped the repository's drift alarm, kicking the
+// and this page tripped the repository's drift alarm, kicks the
 // background repair.
-func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
-	var el *extract.Element
-	var values map[string][]string
-	var fails []extract.Failure
+func (s *Server) extractEntry(ctx context.Context, repo string, page *core.Page, maxWait time.Duration) (e *RepoEntry, el *extract.Element, values map[string][]string, fails []extract.Failure, err error) {
+	e, ok := s.Registry.Get(repo)
+	if !ok {
+		return nil, nil, nil, nil, errf(http.StatusNotFound, "repository %q not loaded", repo)
+	}
 	var sinfo extract.StreamInfo
 	start := time.Now()
-	err := s.Pool.DoWait(ctx, s.admissionWait(), func() {
+	err = s.Pool.DoWait(ctx, maxWait, func() {
 		el, values, fails, sinfo = e.Proc.ExtractPageValuesInfo(page)
 	})
 	if err != nil {
@@ -719,7 +727,7 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 			// queueing unboundedly — the requests already inside keep
 			// draining.
 			s.Metrics.Shed()
-			return nil, nil, nil, &httpError{
+			return nil, nil, nil, nil, &httpError{
 				status:     http.StatusServiceUnavailable,
 				msg:        "extraction not scheduled: " + err.Error(),
 				retryAfter: time.Second,
@@ -729,10 +737,10 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 		if errors.As(err, &pe) {
 			// The rule panicked inside the pool; the pool recovered it and
 			// stays healthy — only this page fails.
-			return nil, nil, nil, errf(http.StatusInternalServerError,
+			return nil, nil, nil, nil, errf(http.StatusInternalServerError,
 				"extraction failed: %v", pe)
 		}
-		return nil, nil, nil, errf(http.StatusServiceUnavailable, "extraction not scheduled: %v", err)
+		return nil, nil, nil, nil, errf(http.StatusServiceUnavailable, "extraction not scheduled: %v", err)
 	}
 	s.Metrics.Extraction(time.Since(start), fails)
 	s.Metrics.StreamExtract(sinfo.Hit, sinfo.Reason)
@@ -757,57 +765,35 @@ func (s *Server) extractEntry(ctx context.Context, e *RepoEntry, page *core.Page
 	if s.AutoRepair && mon.NeedsRepair() {
 		go s.safeAutoRepair(e.Name)
 	}
-	return el, values, fails, nil
+	return e, el, values, fails, nil
 }
 
-// syntheticURI names a page that arrived without a URI by its content,
-// so the drift monitor's URI-keyed sample buffer keeps distinct pages
-// distinct (and re-posts of the same page land on the same sample)
+// syntheticURI names a page that arrived without a URI by its content
+// address, so the drift monitor's URI-keyed sample buffer keeps distinct
+// pages distinct (and re-posts of the same page land on the same sample)
 // instead of collapsing every anonymous request into one entry whose
-// golden values would mix unrelated pages.
-func syntheticURI(html []byte) string {
-	return syntheticURIFromKey(PageKeyOf(html))
-}
-
-// syntheticURIFromKey is the single source of the synthetic-URI format,
-// so a body names the same URI whether it reaches the parser through the
-// page cache or not.
-func syntheticURIFromKey(key PageKey) string {
+// golden values would mix unrelated pages. These URIs are journaled as
+// induction capture keys, so the format is stable.
+func syntheticURI(key PageKey) string {
 	return fmt.Sprintf("request:%x", key[:8])
 }
 
-// pageFor assembles the page for one request body, drawing the parsed
-// document from the page cache when an identical body was seen before.
-// The URI stays per-request — only the parse is shared — and an empty
-// URI is derived from the body hash like syntheticURI.
-func (s *Server) pageFor(uri string, body []byte) *core.Page {
+// pageFor assembles the page for one body — an /extract request, or a
+// batch or ingest line (it is the pipeline's PageParser) — drawing the
+// parsed document from the page cache when an identical body was seen
+// before. The URI stays per-request — only the parse is shared — and an
+// empty URI is derived from the body hash (syntheticURI). The body is
+// hashed in place, not copied.
+func (s *Server) pageFor(uri, html string) *core.Page {
 	if s.PageCache == nil {
 		if uri == "" {
-			uri = syntheticURI(body)
-		}
-		return core.NewPageLazy(uri, string(body))
-	}
-	return s.pageForKey(uri, PageKeyOf(body), int64(len(body)), func() string { return string(body) })
-}
-
-// pageForString is pageFor for bodies already held as strings (batch and
-// ingest lines): the string is hashed in place and feeds the parser
-// directly, so the body is never copied.
-func (s *Server) pageForString(uri, html string) *core.Page {
-	if s.PageCache == nil {
-		if uri == "" {
-			uri = syntheticURIFromKey(pageKeyOfString(html))
+			uri = syntheticURI(pageKeyOfString(html))
 		}
 		return core.NewPageLazy(uri, html)
 	}
-	return s.pageForKey(uri, pageKeyOfString(html), int64(len(html)), func() string { return html })
-}
-
-// pageForKey finishes a cache-enabled page lookup; src is only invoked on
-// a miss, so the hit path never materializes the body string.
-func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() string) *core.Page {
+	key := pageKeyOfString(html)
 	if uri == "" {
-		uri = syntheticURIFromKey(key)
+		uri = syntheticURI(key)
 	}
 	if doc, ok := s.PageCache.Get(key); ok {
 		s.Metrics.PageCache(true)
@@ -818,8 +804,8 @@ func (s *Server) pageForKey(uri string, key PageKey, size int64, src func() stri
 	// cache only admits trees that some consumer genuinely built (general
 	// XPath fallback, induction capture, rendering). Compiled rule
 	// *programs* are cached per repository version instead.
-	page := core.NewPageLazy(uri, src())
-	page.SetOnParse(func(doc *dom.Node) { s.PageCache.Put(key, doc, size) })
+	page := core.NewPageLazy(uri, html)
+	page.SetOnParse(func(doc *dom.Node) { s.PageCache.Put(key, doc, int64(len(html))) })
 	return page
 }
 
@@ -831,19 +817,41 @@ func failureStrings(fails []extract.Failure) []string {
 	return out
 }
 
-// writeResult renders one extraction as JSON (default) or the paper's XML.
-func writeResult(w http.ResponseWriter, r *http.Request, e *RepoEntry, page *core.Page, el *extract.Element, fails []extract.Failure) error {
+// recordResult is the extractResult envelope of one extracted page, as
+// /extract, /extract/url and /extract/batch render it. The record is the
+// element's AppendJSON rendering — the encoder /ingest lines use — so
+// every endpoint ships the same record bytes.
+func recordResult(uri, repo string, gen int, el *extract.Element, fails []extract.Failure) extractResult {
+	// Render into stack scratch, then copy out once: one exact-size
+	// allocation per record.
+	var scratch [1024]byte
+	return extractResult{
+		URI:        uri,
+		Repo:       repo,
+		Generation: gen,
+		Record:     json.RawMessage(bytes.Clone(el.AppendJSON(scratch[:0]))),
+		Failures:   failureStrings(fails),
+	}
+}
+
+// serveOne is the single-page path of /extract and /extract/url: classify
+// the page, extract it, and render the result as JSON (default) or the
+// paper's XML.
+func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, classify pipeline.Classifier, page *core.Page) error {
+	repo, _, err := classify.Classify(page)
+	if err != nil {
+		return err
+	}
+	e, el, _, fails, err := s.extractEntry(r.Context(), repo, page, s.admissionWait())
+	if err != nil {
+		return err
+	}
+	s.learnRoute(r, e.Name, page, fails)
 	if r.URL.Query().Get("format") == "xml" {
 		w.Header().Set("Content-Type", "application/xml")
 		return el.WriteXML(w)
 	}
-	writeJSON(w, http.StatusOK, extractResult{
-		URI:        page.URI,
-		Repo:       e.Name,
-		Generation: e.Generation,
-		Record:     el.JSONValue(),
-		Failures:   failureStrings(fails),
-	})
+	writeJSON(w, http.StatusOK, recordResult(page.URI, e.Name, e.Generation, el, fails))
 	return nil
 }
 
@@ -860,52 +868,31 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if len(bytes.TrimSpace(body)) == 0 {
 			return errf(http.StatusBadRequest, "empty HTML body")
 		}
-		page := s.pageFor(r.URL.Query().Get("uri"), body)
-		e, err := s.resolveRepo(r, page)
+		page := s.pageFor(r.URL.Query().Get("uri"), string(body))
+		classify, err := s.requestClassifier(r)
 		if err != nil {
 			return err
 		}
-		el, _, fails, err := s.extractEntry(r.Context(), e, page)
-		if err != nil {
-			return err
-		}
-		s.learnRoute(r, e.Name, page, fails)
-		return writeResult(w, r, e, page, el, fails)
+		return s.serveOne(w, r, classify, page)
 	})
-}
-
-// pageParser adapts the server's cache-aware page assembly to the
-// pipeline's parser hook: batch and ingest lines flow through the same
-// page cache and synthetic-URI naming as /extract bodies.
-func (s *Server) pageParser() pipeline.PageParser {
-	return func(uri, html string) *core.Page { return s.pageForString(uri, html) }
 }
 
 // extractor adapts the server to the pipeline's Extract stage: per-page
 // repository resolution (routed pages may target different repositories
-// within one run), worker-pool scheduling, metrics, drift observation.
+// within one run), pool admission bounded by pipelineAdmissionWait,
+// metrics, drift observation.
 type extractor struct{ s *Server }
 
-// Extract implements pipeline.Extractor. When the server has a request
-// budget, each page's extraction runs under its own deadline — this is
-// how streaming /ingest (exempt from the whole-request deadline) still
-// bounds every individual extraction.
+// Extract implements pipeline.Extractor.
 func (x extractor) Extract(ctx context.Context, repo string, page *core.Page) (*extract.Element, map[string][]string, []extract.Failure, error) {
-	e, ok := x.s.Registry.Get(repo)
-	if !ok {
-		return nil, nil, nil, errf(http.StatusNotFound, "repository %q not loaded", repo)
-	}
-	if x.s.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, x.s.RequestTimeout)
-		defer cancel()
-	}
-	return x.s.extractEntry(ctx, e, page)
+	_, el, values, fails, err := x.s.extractEntry(ctx, repo, page, x.s.pipelineAdmissionWait())
+	return el, values, fails, err
 }
 
-// requestClassifier returns the pipeline Classify stage for a request:
-// the explicit ?repo= when present (validated against the registry),
-// else the signature router.
+// requestClassifier returns the Classify stage of a request — the one
+// place that chooses between an explicit ?repo= (validated against the
+// registry, so an unknown name fails before any page work) and the
+// signature router. Every extraction endpoint classifies through it.
 func (s *Server) requestClassifier(r *http.Request) (pipeline.Classifier, error) {
 	if name := r.URL.Query().Get("repo"); name != "" {
 		if _, ok := s.Registry.Get(name); !ok {
@@ -940,13 +927,7 @@ func (s *Server) batchResult(it *pipeline.Item) any {
 	if e, ok := s.Registry.Get(it.Repo); ok {
 		gen = e.Generation
 	}
-	return extractResult{
-		URI:        it.Page.URI,
-		Repo:       it.Repo,
-		Generation: gen,
-		Record:     it.Element.JSONValue(),
-		Failures:   failureStrings(it.Failures),
-	}
+	return recordResult(it.Page.URI, it.Repo, gen, it.Element, it.Failures)
 }
 
 func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
@@ -960,12 +941,9 @@ func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
 		}
 		// An explicit repo name is validated before the outbound fetch;
 		// with none given the page is fetched first, then routed.
-		var e *RepoEntry
-		if r.URL.Query().Get("repo") != "" {
-			var err error
-			if e, err = s.lookupRepo(r); err != nil {
-				return err
-			}
+		classify, err := s.requestClassifier(r)
+		if err != nil {
+			return err
 		}
 		target := r.URL.Query().Get("url")
 		if target == "" {
@@ -978,17 +956,7 @@ func (s *Server) handleExtractURL(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return errf(http.StatusBadGateway, "%v", err)
 		}
-		if e == nil {
-			if e, _, err = s.routePage(r.Context(), page); err != nil {
-				return err
-			}
-		}
-		el, _, fails, err := s.extractEntry(r.Context(), e, page)
-		if err != nil {
-			return err
-		}
-		s.learnRoute(r, e.Name, page, fails)
-		return writeResult(w, r, e, page, el, fails)
+		return s.serveOne(w, r, classify, page)
 	})
 }
 

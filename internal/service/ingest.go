@@ -57,18 +57,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	streamed, err := s.serveNDJSON(w, r, false)
 	// A failed run counts as an ingest error even though the HTTP status
 	// is long gone once the stream started — operators watch the
 	// /metrics error counters, not just response codes.
-	s.Metrics.Request("ingest", err != nil)
-	if err != nil && !streamed {
-		status := http.StatusInternalServerError
-		if he, ok := err.(*httpError); ok {
-			status = he.status
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
-	}
+	s.endpoint("ingest", w, r, func() error { return s.serveNDJSON(w, r, false) })
 }
 
 // handleExtractBatch is the buffered mode of the NDJSON exchange: the
@@ -81,37 +73,37 @@ func (s *Server) handleExtractBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	s.endpoint("extract.batch", w, r, func() error {
-		_, err := s.serveNDJSON(w, r, true)
-		return err
-	})
+	s.endpoint("extract.batch", w, r, func() error { return s.serveNDJSON(w, r, true) })
 }
 
 // serveNDJSON runs one NDJSON extraction exchange: {"uri","html"} lines
 // in, one result line per page out, flushed as each page completes.
 // buffered selects the /extract/batch mode (see handleExtractBatch);
-// otherwise it is the streaming /ingest exchange. streamed reports
-// whether response bytes were already written (after which /ingest
-// reports errors on its summary line, not the status).
-func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bool) (streamed bool, err error) {
+// otherwise it is the streaming /ingest exchange. Once a line is out the
+// status is sent, so a run-level error travels in-band: on /ingest's
+// summary line, or as a compact {"error"} line ending a cut batch.
+func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bool) error {
 	classify, err := s.requestClassifier(r)
 	if err != nil {
-		return false, err
+		return err
 	}
 	trace := obs.Trace(r.Context())
 	var body io.Reader = r.Body
+	// The sink runs on one goroutine, so /ingest renders every page into
+	// one reused ResultLine instead of boxing a fresh one per line.
+	var rl pipeline.ResultLine
 	line := func(it *pipeline.Item) any {
-		l := pipeline.MakeResultLine(it)
-		l.Trace = trace
-		return l
+		rl = pipeline.MakeResultLine(it)
+		rl.Trace = trace
+		return &rl
 	}
 	if buffered {
 		b, err := s.readBody(r)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if len(bytes.TrimSpace(b)) == 0 {
-			return false, errf(http.StatusBadRequest, "empty batch")
+			return errf(http.StatusBadRequest, "empty batch")
 		}
 		body, line = bytes.NewReader(b), s.batchResult
 	} else {
@@ -125,9 +117,8 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bo
 		// and from the http.Server read/write timeouts (main.go
 		// carve-out): the stream lives as long as the site does. Clear
 		// any connection deadlines the listener config set so a long
-		// migration isn't cut off mid-stream; each page's extraction is
-		// still individually bounded by RequestTimeout inside the
-		// extractor.
+		// migration isn't cut off mid-stream; each page's wait for a pool
+		// slot is still bounded (pipelineAdmissionWait).
 		_ = rc.SetReadDeadline(time.Time{})
 		_ = rc.SetWriteDeadline(time.Time{})
 		// One connection per ingest exchange. A site migration is a
@@ -141,7 +132,7 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bo
 	}
 	// Lines are bounded like /extract bodies; an /ingest stream itself is
 	// unbounded — that is the point.
-	src := pipeline.NewNDJSONSource(body, int(s.maxBody()), s.pageParser())
+	src := pipeline.NewNDJSONSource(body, int(s.maxBody()), s.pageFor)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -162,7 +153,11 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bo
 	start := time.Now()
 	stats, runErr := pipeline.Run(r.Context(), s.pipelineConfig(classify), src, sink)
 	if buffered {
-		return true, runErr
+		if runErr != nil && responseStarted(w) {
+			_ = enc.Encode(map[string]string{"error": runErr.Error()})
+			flush()
+		}
+		return runErr
 	}
 
 	// The response status is long gone; a run-level failure travels
@@ -183,5 +178,5 @@ func (s *Server) serveNDJSON(w http.ResponseWriter, r *http.Request, buffered bo
 		slog.Int("unrouted", stats.Unrouted), slog.Int("pageErrors", stats.PageErrors),
 		slog.Duration("duration", time.Since(start)),
 		slog.String("error", sum.Error))
-	return true, runErr
+	return runErr
 }

@@ -80,7 +80,7 @@ func TestPageCacheDisabled(t *testing.T) {
 	srv := NewServer(1, 1, nil)
 	defer srv.Close()
 	srv.PageCache = nil
-	body := []byte("<html><body><p>x</p></body></html>")
+	body := "<html><body><p>x</p></body></html>"
 	p1 := srv.pageFor("", body)
 	p2 := srv.pageFor("", body)
 	if p1.Doc != nil || p2.Doc != nil {
@@ -97,7 +97,7 @@ func TestPageCacheDisabled(t *testing.T) {
 func TestPageForSharesParseKeepsURI(t *testing.T) {
 	srv := NewServer(1, 1, nil)
 	defer srv.Close()
-	body := []byte("<html><body><p>shared</p></body></html>")
+	body := "<html><body><p>shared</p></body></html>"
 	a := srv.pageFor("http://site/a", body)
 	if a.Doc != nil {
 		t.Fatal("cache miss should produce a lazy page")
@@ -112,7 +112,7 @@ func TestPageForSharesParseKeepsURI(t *testing.T) {
 	if a.URI != "http://site/a" || b.URI != "http://site/b" {
 		t.Fatalf("URIs not preserved: %q / %q", a.URI, b.URI)
 	}
-	other := srv.pageFor("http://site/c", []byte("<html><body><p>different</p></body></html>"))
+	other := srv.pageFor("http://site/c", "<html><body><p>different</p></body></html>")
 	if other.Document() == adoc {
 		t.Fatal("different bodies must not share a document")
 	}
@@ -213,9 +213,10 @@ func TestExtractEndpointUsesPageCache(t *testing.T) {
 	}
 }
 
-// TestPageForStringHashesInPlace: an ingest line's html string is keyed
-// without copying it into a []byte, and names the same synthetic URI and
-// cache entry as the identical /extract body.
+// TestPageForStringHashesInPlace: a body is keyed without copying it
+// into a []byte — under the same key PageKeyOf gives its bytes — and an
+// anonymous body is named by the synthetic URI of that key and shares
+// the cache entry of the identical named body.
 func TestPageForStringHashesInPlace(t *testing.T) {
 	srv := NewServer(1, 1, nil)
 	defer srv.Close()
@@ -223,17 +224,18 @@ func TestPageForStringHashesInPlace(t *testing.T) {
 	if got, want := pageKeyOfString(html), PageKeyOf([]byte(html)); got != want {
 		t.Fatal("string key differs from the byte-slice key")
 	}
-	doc := srv.pageForString("http://site/a", html).Document()
-	if p := srv.pageFor("", []byte(html)); p.Doc != doc || p.URI != srv.pageForString("", html).URI {
-		t.Fatal("string and byte-slice bodies must share the cache entry and synthetic URI")
+	doc := srv.pageFor("http://site/a", html).Document()
+	p := srv.pageFor("", html)
+	if p.Doc != doc || p.URI != syntheticURI(PageKeyOf([]byte(html))) || p.URI != srv.pageFor("", html).URI {
+		t.Fatal("anonymous bodies must share the cache entry and the content-addressed URI")
 	}
 	// The hit path allocates the Page and nothing else.
 	allocs := testing.AllocsPerRun(100, func() {
-		if srv.pageForString("http://site/a", html).Doc != doc {
+		if srv.pageFor("http://site/a", html).Doc != doc {
 			t.Error("cache miss")
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("pageForString cache hit allocates %.1f/op, want 1", allocs)
+		t.Errorf("pageFor cache hit allocates %.1f/op, want 1", allocs)
 	}
 }

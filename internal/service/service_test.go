@@ -2,15 +2,18 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -189,6 +192,34 @@ func TestEndToEndServeFetchExtract(t *testing.T) {
 		t.Errorf("extract/url XML differs from batch XML:\n%s\nvs\n%s", viaURL, refServed.XMLString())
 	}
 
+	// One record encoder: the same pages through every extraction
+	// endpoint give byte-identical record bytes — the reference element's
+	// AppendJSON rendering (single-page bodies are indented, so their
+	// records are compared compacted).
+	var want []string
+	var lines strings.Builder
+	got := map[string][]string{}
+	for _, p := range cl.Pages[len(cl.Pages)-3:] {
+		pu, _ := url.Parse(p.URI)
+		live := site.URL + pu.Path
+		h := dom.Render(p.Doc)
+		el, _ := refProc.ExtractPage(core.NewPage(live, h))
+		want = append(want, string(el.AppendJSON(nil)))
+		got["/extract"] = append(got["/extract"],
+			postRecords(t, ts.URL+"/extract?repo="+cl.Name+"&uri="+url.QueryEscape(live), h)...)
+		got["/extract/url"] = append(got["/extract/url"],
+			postRecords(t, ts.URL+"/extract/url?repo="+cl.Name+"&url="+url.QueryEscape(live), "")...)
+		lines.Write(mustJSON(t, pipeline.PageLine{URI: live, HTML: h}))
+		lines.WriteByte('\n')
+	}
+	got["/extract/batch"] = postRecords(t, ts.URL+"/extract/batch?repo="+cl.Name, lines.String())
+	got["/ingest"] = postRecords(t, ts.URL+"/ingest?repo="+cl.Name, lines.String())
+	for endpoint, records := range got {
+		if !slices.Equal(records, want) {
+			t.Errorf("%s records differ from the reference bytes:\n got %q\nwant %q", endpoint, records, want)
+		}
+	}
+
 	// Hot reload bumps the generation.
 	info = postJSONRepo(t, ts.URL, repo, "")
 	if info.Generation != 2 {
@@ -240,6 +271,43 @@ func TestEndToEndServeFetchExtract(t *testing.T) {
 	}
 
 	_ = srv
+}
+
+// postRecords posts body to u and returns the compacted "record" of
+// every JSON object in the 200 response — one for the single-page
+// endpoints, one per line for NDJSON; the /ingest summary line carries
+// no record and is skipped.
+func postRecords(t *testing.T, u, body string) []string {
+	t.Helper()
+	resp, err := http.Post(u, "", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: %d: %s", u, resp.StatusCode, raw)
+	}
+	var out []string
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var v struct {
+			Record json.RawMessage `json:"record"`
+		}
+		if err := dec.Decode(&v); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("POST %s: %v", u, err)
+		}
+		if v.Record == nil {
+			continue
+		}
+		var b bytes.Buffer
+		if err := json.Compact(&b, v.Record); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b.String())
+	}
 }
 
 // TestConcurrentExtract hammers /extract from many goroutines while the
@@ -342,6 +410,72 @@ func TestExtractBatchNDJSON(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("got %d results, want %d", got, n)
+	}
+}
+
+// stallWriter holds the first response write for stall — long enough for
+// the request deadline to pass while a batch is mid-stream.
+type stallWriter struct {
+	*httptest.ResponseRecorder
+	stall   time.Duration
+	stalled bool
+}
+
+func (w *stallWriter) Write(b []byte) (int, error) {
+	if !w.stalled {
+		w.stalled = true
+		time.Sleep(w.stall)
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestExtractBatchCutMidStream: a batch whose deadline passes after its
+// first line went out keeps its 200 NDJSON body valid — every line is
+// one JSON object and the run error arrives as a last compact
+// {"error"} line, not a status body appended to the stream — and the
+// exchange still counts as an extract.batch error.
+func TestExtractBatchCutMidStream(t *testing.T) {
+	cl, repo := buildMoviesRepo(t, 31, 12)
+	srv := NewServer(1, 1, nil)
+	defer srv.Close()
+	// Generous enough for the first page to be out before the deadline
+	// even on a loaded race-detector run; the stall then outlasts it.
+	srv.RequestTimeout = 250 * time.Millisecond
+	if _, err := srv.LoadRepo("movies", repo); err != nil {
+		t.Fatal(err)
+	}
+	var in strings.Builder
+	for i := 0; i < 50; i++ {
+		p := cl.Pages[i%len(cl.Pages)]
+		in.Write(mustJSON(t, pipeline.PageLine{URI: p.URI, HTML: dom.Render(p.Doc)}))
+		in.WriteByte('\n')
+	}
+	w := &stallWriter{ResponseRecorder: httptest.NewRecorder(), stall: 2 * srv.RequestTimeout}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/extract/batch?repo=movies",
+		strings.NewReader(in.String())))
+
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 (the first line went out before the cut)", w.Code)
+	}
+	lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+	if len(lines) < 2 || len(lines) > 50 {
+		t.Fatalf("%d response lines, want results then one error line:\n%s", len(lines), w.Body)
+	}
+	for i, l := range lines {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(l), &m); err != nil {
+			t.Fatalf("line %d %q is not a JSON object: %v", i, l, err)
+		}
+		if i < len(lines)-1 && m["record"] == nil {
+			t.Errorf("line %d = %s, want a result", i, l)
+		}
+	}
+	if last := lines[len(lines)-1]; last != `{"error":"context deadline exceeded"}` {
+		t.Errorf("last line %s, want the run error", last)
+	}
+	snap := srv.Metrics.Snapshot()
+	if snap.Requests["extract.batch"] != 1 || snap.Errors["extract.batch"] != 1 {
+		t.Errorf("requests %v errors %v, want one failed extract.batch", snap.Requests, snap.Errors)
 	}
 }
 
@@ -498,8 +632,8 @@ func TestBatchLineNumbersAndSyntheticURIs(t *testing.T) {
 		t.Errorf("line 1 error = %q, want a 'line 4:' prefix", lines[1]["error"])
 	}
 	uri, _ := lines[2]["uri"].(string)
-	if uri != syntheticURI([]byte(html)) {
-		t.Errorf("line 2 URI = %q, want content-addressed %q", uri, syntheticURI([]byte(html)))
+	if want := syntheticURI(PageKeyOf([]byte(html))); uri != want {
+		t.Errorf("line 2 URI = %q, want content-addressed %q", uri, want)
 	}
 }
 
